@@ -28,6 +28,6 @@ from .scene import (Cylinder, PairGeometry, PlaneWave, PointSource, Scene,
                     validate_scene)
 from .solver import SolveResult, solve
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,13 +23,12 @@ and ceiling 1e-2 (pre-asymptotic shoulder).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (NORM_L0, BlockOperator, CoefficientVector,
-                       assemble_system, mode_weights)
+                       assemble_system, mode_range, mode_weights)
 from .errors import InsufficientPointsError, NonConvergenceError
 from .scene import PairGeometry, PointSource, Scene, pairwise_geometry
 from .solver import SolveResult, solve
@@ -157,32 +156,26 @@ def _first_order_surrogate(op_ref: BlockOperator, rhs_ref: CoefficientVector,
 
     Both truncations act on the reference assembly: G(N) zeroes modes beyond
     N, and A(N) zeroes coupling entries with a row or column mode beyond N.
+    So (A(N_ref) - A(N)) G is A G on the rows beyond N, and A (G - G(N)) on
+    the rows within N, where the identity in I + A meets only zeros.
     """
-    n_ref = rhs_ref.truncation
-    w = mode_weights(n_ref, norm)
-    lo, hi = n_ref - N, n_ref + N + 1
-    tail = rhs_ref.data.copy()
-    tail[:, lo:hi] = 0.0
-    term1 = float(np.sqrt(np.sum(w[None, :] * np.abs(tail) ** 2)))
-    out = np.zeros_like(rhs_ref.data)
-    for (p, q), tag in op_ref.tags.items():
-        if p == q or tag == "zero":
-            continue
-        blk = op_ref.blocks[(p, q)].copy()
-        blk[lo:hi, lo:hi] = 0.0
-        out[p] += blk @ rhs_ref.data[q]
-    term2 = float(np.sqrt(np.sum(w[None, :] * np.abs(out) ** 2)))
-    return term1 + term2
+    g = rhs_ref.data
+    outer = np.abs(mode_range(rhs_ref.truncation)) > N
+    tail = CoefficientVector(np.where(outer, g, 0.0))
+    out = op_ref.matvec(tail)
+    out.data[:, outer] = op_ref.matvec(rhs_ref).data[:, outer] - g[:, outer]
+    return tail.norm(norm) + out.norm(norm)
 
 
 def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
                       backend: str = "dense", include_surrogate: bool = False,
-                      threads: int = 1, scene_id: str = "scene",
+                      scene_id: str = "scene",
                       n_ref: int | None = None) -> ConvergenceReport:
     """Measure E(N) over a truncation ladder against a reference solve.
 
-    Sweep solves are independent and parallelize over N with `threads`;
-    results are deterministic regardless of the thread count.
+    The system is assembled once, at n_ref; the system at each N is its
+    central |m|, |n| <= N slice, since the entries do not depend on the
+    truncation.
     """
     truncations = np.asarray(sorted(int(n) for n in truncations), dtype=np.int64)
     if truncations.size == 0:
@@ -194,18 +187,12 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
         n_ref = int(truncations[-1]) + REFERENCE_MARGIN
     op_ref, rhs_ref = assemble_system(scene, n_ref, geom)
     ref = solve(op_ref, rhs_ref, backend=backend)
-
-    def one(n: int) -> SolveResult:
-        op, rhs = assemble_system(scene, int(n), geom)
-        return solve(op, rhs, backend=backend)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(one, truncations))
-    else:
-        sols = [one(n) for n in truncations]
-    errors = np.array([approximation_error(ref.solution, s.solution, norm)
-                       for s in sols])
+    errors = np.array([
+        approximation_error(
+            ref.solution,
+            solve(op_ref.restrict(int(n)), rhs_ref.restrict(int(n)),
+                  backend=backend).solution, norm)
+        for n in truncations])
     g1 = gamma1(scene, geom, truncations)
     g2 = gamma2(scene, geom, truncations)
     surrogate = None
@@ -228,13 +215,11 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
 
 
 def first_order_error_sweep(scene: Scene, truncations, norm: str = NORM_L0,
-                            threads: int = 1,
                             scene_id: str = "scene") -> ConvergenceReport:
     """Convergence sweep that also reports the first-order truncation
     surrogate || G - G(N) || + || (A(N_ref) - A(N)) G(N_ref) ||."""
     return convergence_sweep(scene, truncations, norm=norm,
-                             include_surrogate=True, threads=threads,
-                             scene_id=scene_id)
+                             include_surrogate=True, scene_id=scene_id)
 
 
 # ---------------------------------------------------------------------------

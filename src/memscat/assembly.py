@@ -38,7 +38,8 @@ from . import specfun
 from .errors import CapabilityError, SingularPreconditionerError
 from .scene import PairGeometry, PlaneWave, PointSource, Scene, pairwise_geometry
 
-# dense materialization refuses above this many unknowns per side
+# assembly refuses systems with more unknowns than this; every backend
+# works on the stored (dim, dim) matrix
 DENSE_DIM_CAP = 20000
 
 # |J_m(k a_p)| below this floor (for modes that can actually vanish) means an
@@ -139,16 +140,16 @@ def mode_weights(truncation: int, kind: str) -> np.ndarray:
 
 @dataclass
 class BlockOperator:
-    """Block matrix over (cylinder, mode) indices with structure tags.
+    """System matrix over (cylinder, mode) indices.
 
-    tags[p, q] is one of "identity", "zero", "diagonal", "dense"; blocks[p, q]
-    holds the materialized (2N+1)^2 array for the latter two.
+    Row and column p (2N+1) + (m + N) belong to mode m on cylinder p, the
+    storage order of CoefficientVector.flat().  `assemble_system` stores
+    I + A here, `assemble_raw` stores V.
     """
 
     n_cylinders: int
     truncation: int
-    tags: dict
-    blocks: dict
+    matrix: np.ndarray
 
     @property
     def block_size(self) -> int:
@@ -158,48 +159,25 @@ class BlockOperator:
     def dim(self) -> int:
         return self.n_cylinders * self.block_size
 
-    def block(self, p: int, q: int) -> np.ndarray:
-        tag = self.tags[(p, q)]
-        if tag == "identity":
-            return np.eye(self.block_size, dtype=np.complex128)
-        if tag == "zero":
-            return np.zeros((self.block_size, self.block_size), dtype=np.complex128)
-        return self.blocks[(p, q)]
-
     def matvec(self, vec: CoefficientVector) -> CoefficientVector:
         if vec.truncation != self.truncation or vec.n_cylinders != self.n_cylinders:
             raise ValueError("operator/vector shape mismatch")
-        out = np.zeros_like(vec.data)
-        for p in range(self.n_cylinders):
-            for q in range(self.n_cylinders):
-                tag = self.tags[(p, q)]
-                if tag == "zero":
-                    continue
-                if tag == "identity":
-                    out[p] += vec.data[q]
-                else:
-                    out[p] += self.blocks[(p, q)] @ vec.data[q]
-        return CoefficientVector(out)
+        return CoefficientVector.from_flat(self.matrix @ vec.flat(),
+                                           self.n_cylinders, self.truncation)
 
-    def apply_coupling(self, vec: CoefficientVector) -> CoefficientVector:
-        """Apply only the off-diagonal (p != q) blocks."""
-        out = np.zeros_like(vec.data)
-        for (p, q), tag in self.tags.items():
-            if p == q or tag == "zero":
-                continue
-            out[p] += self.blocks[(p, q)] @ vec.data[q]
-        return CoefficientVector(out)
+    def restrict(self, truncation: int) -> "BlockOperator":
+        """The central |m|, |n| <= truncation slice of every block.
 
-    def dense(self) -> np.ndarray:
-        if self.dim > DENSE_DIM_CAP:
-            raise CapabilityError(
-                f"dense system of dimension {self.dim} exceeds cap {DENSE_DIM_CAP}")
-        b = self.block_size
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p in range(self.n_cylinders):
-            for q in range(self.n_cylinders):
-                out[p * b:(p + 1) * b, q * b:(q + 1) * b] = self.block(p, q)
-        return out
+        The entries do not depend on the truncation, so this is the operator
+        a fresh assembly at that truncation builds.
+        """
+        if truncation > self.truncation:
+            raise ValueError("restrict cannot widen the band")
+        M, b = self.n_cylinders, self.block_size
+        lo, hi = self.truncation - truncation, self.truncation + truncation + 1
+        sub = self.matrix.reshape(M, b, M, b)[:, lo:hi, :, lo:hi]
+        dim = M * (hi - lo)
+        return BlockOperator(M, truncation, sub.reshape(dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -295,100 +273,109 @@ def precond_diag(scene: Scene, p: int, N: int) -> np.ndarray:
     return inv / (0.5j * np.pi * a_p)
 
 
-def a_block(scene: Scene, geom: PairGeometry, p: int, q: int, N: int) -> np.ndarray:
-    """Preconditioned coupling block A^pq = B^pp V^pq for p != q.
-
-    Closed form sqrt(a_q/a_p) H_{m-n}(k d_pq) e^{i(n-m) th_pq} J_n(k a_q)
-    / H_m(k a_p); the J/H ratios are combined in scaled space, so entries
-    come out O(1) even when both factors are far outside the double range.
-    """
-    if p == q:
-        return np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    a_q = scene.cylinders[q].radius
-    d = geom.distances[p, q]
-    th = geom.angles[p, q]
-    m = mode_range(N)
-    am = np.abs(m)
-    hp_m, hp_e = specfun.hankel1_seq_scaled(N, k * a_p)
-    jq_m, jq_e = specfun.bessel_j_seq_scaled(N, k * a_q)
-    hd_m, hd_e = specfun.hankel1_seq_scaled(2 * N, k * d)
-    diff = m[:, None] - m[None, :]
-    ad = np.abs(diff)
-    srow = np.where(m < 0, _parity(m), 1.0)    # 1 / H_{-|m|} = (-1)^m / H_{|m|}
-    scol = np.where(m < 0, _parity(m), 1.0)
-    sdiff = np.where(diff < 0, _parity(diff), 1.0)
-    mant = (srow[:, None] * scol[None, :] * sdiff) \
-        * hd_m[ad] * jq_m[am][None, :] / hp_m[am][:, None]
-    exp2 = hd_e[ad] + jq_e[am][None, :] - hp_e[am][:, None]
-    vals = specfun.scaled_to_float(mant, exp2)
-    return np.sqrt(a_q / a_p) * vals * np.exp(1j * (-diff) * th)
+def _signed_orders(mant: np.ndarray, exp2: np.ndarray, orders: np.ndarray):
+    """Rows of a scaled (order, argument) table for signed orders, by
+    J_{-n} = (-1)^n J_n and H_{-n} = (-1)^n H_n."""
+    sign = np.where(orders < 0, _parity(orders), 1.0)
+    absolute = np.abs(orders)
+    return mant[absolute] * sign[:, None], exp2[absolute]
 
 
-def g_vector(scene: Scene, geom: PairGeometry, p: int, N: int) -> np.ndarray:
-    """Preconditioned right-hand side g^p = B^pp f^p in closed form.
-
-    Plane wave:   -(2 sqrt(2) / (i sqrt(pi a_p))) e^{i k beta.O_p}
-                  e^{i m (pi/2 - beta_hat)} / H_m(k a_p)
-    Point source: -(H_m(k d_p) / H_m(k a_p)) e^{-i m th_p(x0)} / sqrt(2 pi a_p)
-    """
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    m = mode_range(N)
-    am = np.abs(m)
-    hp_m, hp_e = specfun.hankel1_seq_scaled(N, k * a_p)
-    if isinstance(scene.incident, PlaneWave):
-        beta_hat = scene.incident.angle
-        beta = np.array([np.cos(beta_hat), np.sin(beta_hat)])
-        center = np.asarray(scene.cylinders[p].center)
-        inv_h = specfun.scaled_to_float(1.0 / hp_m[am], -hp_e[am]) \
-            * np.where(m < 0, _parity(m), 1.0)
-        return (-(2.0 * np.sqrt(2.0)) / (1j * np.sqrt(np.pi * a_p))
-                * np.exp(1j * k * float(beta @ center))
-                * np.exp(1j * m * (0.5 * np.pi - beta_hat)) * inv_h)
-    d = geom.source_distances[p]
-    th = geom.source_angles[p]
-    hd_m, hd_e = specfun.hankel1_seq_scaled(N, k * d)
-    ratio = specfun.scaled_to_float(hd_m[am] / hp_m[am], hd_e[am] - hp_e[am])
-    return -ratio * np.exp(-1j * m * th) / np.sqrt(2.0 * np.pi * a_p)
+def _check_dense_dim(M: int, N: int) -> int:
+    dim = M * (2 * N + 1)
+    if dim > DENSE_DIM_CAP:
+        raise CapabilityError(
+            f"dense system of dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    return dim
 
 
 def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
     """Preconditioned truncated system (I + A, g) at truncation N.
 
-    Returns (BlockOperator, CoefficientVector).  With a single cylinder the
-    operator is exactly the identity and g is the whole solution.
+    Closed forms, for p != q (A^pp = 0):
+
+      A^pq_mn = sqrt(a_q/a_p) H_{m-n}(k d_pq) e^{i(n-m) th_pq} J_n(k a_q)
+                / H_m(k a_p)
+      g^p_m   = -(2 sqrt(2) / (i sqrt(pi a_p))) e^{i k beta.O_p}
+                e^{i m (pi/2 - beta_hat)} / H_m(k a_p)            (plane wave)
+      g^p_m   = -(H_m(k d_p) / H_m(k a_p)) e^{-i m th_p(x0)}
+                / sqrt(2 pi a_p)                                  (point source)
+
+    These are B^pp V^pq and B^pp f^p with the factors of `v_block`,
+    `incident_coeffs` and `precond_diag` cancelled.  Every Bessel factor
+    comes from one batched table per argument set (radii, pair distances,
+    source distances), and the J/H ratios are combined in scaled space, so
+    entries come out O(1) even when both factors are far outside the double
+    range.  Returns (BlockOperator, CoefficientVector); with a single
+    cylinder the operator is exactly the identity and g is the whole
+    solution.
     """
+    M = scene.n_cylinders
+    dim = _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
-    M = scene.n_cylinders
-    tags = {}
-    blocks = {}
-    for p in range(M):
-        for q in range(M):
-            if p == q:
-                tags[(p, q)] = "identity"
-            else:
-                tags[(p, q)] = "dense"
-                blocks[(p, q)] = a_block(scene, geom, p, q, N)
-    rhs = np.stack([g_vector(scene, geom, p, N) for p in range(M)])
-    return BlockOperator(M, N, tags, blocks), CoefficientVector(rhs)
+    k = scene.wavenumber
+    radii = scene.radii()
+    b = 2 * N + 1
+    m = mode_range(N)
+    pairs = [(p, q) for p in range(M) for q in range(M) if p != q]
+    mu = mode_range(2 * N)
+    hp_m, hp_e = _signed_orders(*specfun.hankel1_grid_scaled(N, k * radii), m)
+    jq_m, jq_e = _signed_orders(*specfun.bessel_j_grid_scaled(N, k * radii), m)
+    hd_m, hd_e = _signed_orders(*specfun.hankel1_grid_scaled(
+        2 * N, k * np.array([geom.distances[p, q] for p, q in pairs])), mu)
+
+    if isinstance(scene.incident, PlaneWave):
+        beta_hat = scene.incident.angle
+        beta = np.array([np.cos(beta_hat), np.sin(beta_hat)])
+        inv_h = specfun.scaled_to_float(1.0 / hp_m, -hp_e)
+        rhs = (-(2.0 * np.sqrt(2.0)) / (1j * np.sqrt(np.pi * radii))
+               * np.exp(1j * k * (scene.centers() @ beta))
+               * np.exp(1j * m * (0.5 * np.pi - beta_hat))[:, None] * inv_h).T
+    else:
+        hs_m, hs_e = _signed_orders(*specfun.hankel1_grid_scaled(
+            N, k * geom.source_distances), m)
+        ratio = specfun.scaled_to_float(hs_m / hp_m, hs_e - hp_e)
+        rhs = (-ratio * np.exp(-1j * m[:, None] * geom.source_angles)
+               / np.sqrt(2.0 * np.pi * radii)).T
+
+    row = m[:, None] - m[None, :] + 2 * N         # row of H_{m-n} in hd_m
+    phase_arg = 1j * (m[None, :] - m[:, None])     # i (n - m)
+    # each block is built in these contiguous buffers and copied in; a ufunc
+    # on a strided view of the matrix, a buffered np.take (hence 'clip': the
+    # rows are in range) or a block-sized temporary would each allocate a
+    # block again while the matrix is alive, raising the memory peak
+    blk = np.empty((b, b), dtype=np.complex128)
+    phase = np.empty((b, b), dtype=np.complex128)
+    exp2 = np.empty((b, b), dtype=np.int64)
+    matrix = np.eye(dim, dtype=np.complex128)
+    with np.errstate(over="raise"):
+        for i, (p, q) in enumerate(pairs):
+            np.take(hd_m[:, i], row, out=blk, mode="clip")
+            blk *= jq_m[:, q]
+            blk /= hp_m[:, p][:, None]
+            np.take(hd_e[:, i], row, out=exp2, mode="clip")
+            exp2 += jq_e[:, q]
+            exp2 -= hp_e[:, p][:, None]
+            np.ldexp(blk.real, exp2, out=blk.real)
+            np.ldexp(blk.imag, exp2, out=blk.imag)
+            blk *= np.sqrt(radii[q] / radii[p])
+            np.multiply(phase_arg, geom.angles[p, q], out=phase)
+            blk *= np.exp(phase, out=phase)
+            matrix[p * b:(p + 1) * b, q * b:(q + 1) * b] = blk
+    return BlockOperator(M, N, matrix), CoefficientVector(rhs)
 
 
 def assemble_raw(scene: Scene, N: int, geom: PairGeometry | None = None):
     """Unpreconditioned system (V, f); mainly for certification and tests."""
+    M = scene.n_cylinders
+    _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
-    M = scene.n_cylinders
-    tags = {}
-    blocks = {}
-    for p in range(M):
-        for q in range(M):
-            tags[(p, q)] = "diagonal" if p == q else "dense"
-            blocks[(p, q)] = v_block(scene, geom, p, q, N)
+    V = np.block([[v_block(scene, geom, p, q, N) for q in range(M)]
+                  for p in range(M)])
     rhs = np.stack([incident_coeffs(scene, geom, p, N) for p in range(M)])
-    return BlockOperator(M, N, tags, blocks), CoefficientVector(rhs)
+    return BlockOperator(M, N, V), CoefficientVector(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +483,12 @@ def dump_system(op: BlockOperator, scene: Scene, path) -> None:
     dim x dim entries row-major, one `re im` pair per line, 17 significant
     digits.
     """
-    dense = op.dense()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("memscat-system 1\n")
         fh.write(f"M {op.n_cylinders}\n")
         fh.write(f"N {op.truncation}\n")
         fh.write(f"k {scene.wavenumber:.16e}\n")
-        for v in dense.reshape(-1):
+        for v in op.matrix.reshape(-1):
             fh.write(f"{v.real:.16e} {v.imag:.16e}\n")
 
 

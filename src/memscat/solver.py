@@ -2,10 +2,10 @@
 
 Four routes with one result type:
 
-* dense      LAPACK factorization of the materialized operator;
+* dense      LAPACK factorization of the assembled matrix;
 * gmres      restarted GMRES (modified Gram-Schmidt Arnoldi + Givens
              rotations, following Kelley, "Iterative Methods for Linear
-             Systems", alg. 3.5.1), matrix-free on the block operator;
+             Systems", alg. 3.5.1), through BlockOperator.matvec only;
 * reflections  parallel method of reflections phi <- g - A phi, i.e. the
              Neumann-series iteration; diverges when the coupling is too
              strong (almost-touching obstacles) and says so instead of
@@ -54,7 +54,7 @@ def _residual_norm(op: BlockOperator, rhs: CoefficientVector,
 def solve_dense(op: BlockOperator, rhs: CoefficientVector,
                 estimate_condition: bool = False) -> SolveResult:
     """Direct solve via LAPACK; the reference backend for everything else."""
-    mat = op.dense()
+    mat = op.matrix
     try:
         x = np.linalg.solve(mat, rhs.flat())
     except np.linalg.LinAlgError as exc:
@@ -72,7 +72,7 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
                 tol: float = GMRES_DEFAULT_TOL,
                 restart: int = GMRES_DEFAULT_RESTART,
                 max_iterations: int = 1000) -> SolveResult:
-    """Restarted GMRES on the block operator, matrix-free."""
+    """Restarted GMRES on the block operator, through its matvec."""
     M, N = op.n_cylinders, op.truncation
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def solve_reflections(op: BlockOperator, rhs: CoefficientVector,
     prev_update = None
     iterations = 0
     for it in range(max_iterations + 1):
-        coupled = op.apply_coupling(phi).data
+        coupled = op.matvec(phi).data - phi.data
         residual = float(np.linalg.norm(g - coupled - phi.data))
         if residual <= tol * gnorm:
             iterations = it

@@ -24,6 +24,7 @@ from memscat import (
     reference_solution,
     approximation_error,
     sigma_series,
+    solve,
 )
 from memscat.analysis import (
     REFERENCE_MARGIN,
@@ -218,10 +219,16 @@ class TestConvergenceSweep:
         rh = convergence_sweep(far_scene, range(1, 26), norm="lhalf")
         assert abs(r0.rates["E"].slope - rh.rates["E"].slope) < 0.05
 
-    def test_thread_count_does_not_change_results(self, moderate_scene):
-        r1 = convergence_sweep(moderate_scene, range(1, 14), threads=1)
-        r4 = convergence_sweep(moderate_scene, range(1, 14), threads=4)
-        assert np.array_equal(r1.errors, r4.errors)
+    def test_sliced_sweep_matches_fresh_assemblies(self, moderate_scene):
+        # the sweep solves slices of one reference assembly; assembling
+        # and solving each truncation from scratch gives the same E(N)
+        report = convergence_sweep(moderate_scene, range(1, 14))
+        ref = solve(*assemble_system(moderate_scene, report.n_ref)).solution
+        fresh = np.array([
+            approximation_error(
+                ref, solve(*assemble_system(moderate_scene, n)).solution)
+            for n in range(1, 14)])
+        assert np.max(np.abs(report.errors - fresh) / fresh) < 1e-12
 
     def test_rejects_empty_and_negative_ladders(self, far_scene):
         with pytest.raises(ValueError):

@@ -7,11 +7,13 @@ from 40-digit arithmetic applied to the same closed forms.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memscat import (
+    CapabilityError,
     CoefficientVector,
     Cylinder,
     PlaneWave,
@@ -22,10 +24,8 @@ from memscat import (
     solve,
 )
 from memscat.assembly import (
-    a_block,
     assemble_raw,
     dump_system,
-    g_vector,
     incident_coeffs,
     incident_trace_quadrature,
     load_system_dump,
@@ -52,6 +52,12 @@ def unit_scene():
 @pytest.fixture(scope="module")
 def moderate_geom(moderate_scene):
     return pairwise_geometry(moderate_scene)
+
+
+def pair_block(op, p, q):
+    """The (p, q) block of the assembled matrix."""
+    b = op.block_size
+    return op.matrix[p * b:(p + 1) * b, q * b:(q + 1) * b]
 
 
 class TestCouplingBlocks:
@@ -138,22 +144,25 @@ class TestIncidentCoefficients:
 
 class TestCompositions:
     def test_a_equals_preconditioned_v(self, moderate_scene, moderate_geom):
+        op, _ = assemble_system(moderate_scene, 8)
         for p, q in ((0, 1), (1, 2), (2, 0)):
             V = v_block(moderate_scene, moderate_geom, p, q, 8)
             B = precond_diag(moderate_scene, p, 8)
-            A = a_block(moderate_scene, moderate_geom, p, q, 8)
+            A = pair_block(op, p, q)
             dev = np.max(np.abs(B[:, None] * V - A)) / np.max(np.abs(A))
             assert dev < 1e-12
 
     def test_g_equals_preconditioned_f(self, moderate_scene, moderate_geom):
+        _, rhs = assemble_system(moderate_scene, 8)
         for p in range(3):
             f = incident_coeffs(moderate_scene, moderate_geom, p, 8)
             B = precond_diag(moderate_scene, p, 8)
-            g = g_vector(moderate_scene, moderate_geom, p, 8)
+            g = rhs.data[p]
             assert np.max(np.abs(B * f - g)) / np.max(np.abs(g)) < 1e-12
 
-    def test_self_blocks_are_off(self, moderate_scene, moderate_geom):
-        A = a_block(moderate_scene, moderate_geom, 1, 1, 4)
+    def test_self_blocks_are_off(self, moderate_scene):
+        op, _ = assemble_system(moderate_scene, 4)
+        A = pair_block(op, 1, 1) - np.eye(9)
         assert np.max(np.abs(A)) == 0.0
 
     def test_zero_truncation_off_diagonal(self):
@@ -161,28 +170,28 @@ class TestCompositions:
         # sqrt(a_q/a_p) H_0(k d) J_0(k a_q) / H_0(k a_p).
         sc = Scene((Cylinder((0.0, 0.0), 2.0), Cylinder((6.0, 0.0), 1.0)),
                    0.6, PlaneWave(0.0))
-        A = a_block(sc, pairwise_geometry(sc), 0, 1, 0)
+        A = pair_block(assemble_system(sc, 0)[0], 0, 1)
         pred = (math.sqrt(1.0 / 2.0) * specfun.hankel1(0, 3.6)
                 * specfun.bessel_j(0, 0.6) / specfun.hankel1(0, 1.2))
         assert A[0, 0] == pytest.approx(pred, rel=1e-13)
 
 
 class TestDecayRates:
-    def test_coupling_column_root_limit(self, moderate_scene, moderate_geom):
+    def test_coupling_column_root_limit(self, moderate_scene):
         # |A^{pq}_{m,0}|^{1/m} -> a_p/d_pq as m grows.
-        A = a_block(moderate_scene, moderate_geom, 0, 1, 40)
+        A = pair_block(assemble_system(moderate_scene, 40)[0], 0, 1)
         root = abs(A[40 + 40, 40]) ** (1.0 / 40)
         assert root == pytest.approx(2.0 / 6.0, rel=0.05)
 
     def test_point_source_rhs_root_limit(self, moderate_scene, moderate_geom):
-        g = g_vector(moderate_scene, moderate_geom, 0, 40)
+        g = assemble_system(moderate_scene, 40)[1].data[0]
         d = moderate_geom.source_distances[0]
         root = abs(g[40 + 40]) ** (1.0 / 40)
         assert root == pytest.approx(2.0 / d, rel=0.05)
 
     def test_plane_wave_rhs_super_exponential(self, moderate_scene):
         sc = Scene(moderate_scene.cylinders, 0.6, PlaneWave(0.3))
-        g = g_vector(sc, pairwise_geometry(sc), 0, 40)
+        g = assemble_system(sc, 40)[1].data[0]
         ms = np.arange(1, 41, dtype=float)
         envelope = (np.e * 0.6 * 2.0 / (2.0 * ms)) ** ms
         assert np.max(np.abs(g[41:]) / envelope) < 20.0
@@ -191,22 +200,43 @@ class TestDecayRates:
 class TestSystemAssembly:
     def test_single_cylinder_identity(self, unit_scene):
         op, rhs = assemble_system(unit_scene, 6)
-        assert np.allclose(op.dense(), np.eye(13))
-        g = g_vector(unit_scene, pairwise_geometry(unit_scene), 0, 6)
-        assert np.array_equal(rhs.data[0], g)
+        assert np.allclose(op.matrix, np.eye(13))
+        assert np.array_equal(solve(op, rhs).solution.data, rhs.data)
 
-    def test_rhs_nesting_across_truncation(self, moderate_scene,
-                                           moderate_geom):
-        g8 = g_vector(moderate_scene, moderate_geom, 0, 8)
-        g13 = g_vector(moderate_scene, moderate_geom, 0, 13)
+    def test_rhs_nesting_across_truncation(self, moderate_scene):
+        op8, rhs8 = assemble_system(moderate_scene, 8)
+        op13, rhs13 = assemble_system(moderate_scene, 13)
+        g8 = rhs8.data[0]
+        g13 = rhs13.data[0]
         assert np.max(np.abs(g8 - g13[5:-5])) < 1e-13 * np.max(np.abs(g8))
+        # the whole system at N = 8 is the central slice of the one at 13
+        sliced = op13.restrict(8)
+        assert (sliced.n_cylinders, sliced.truncation) == (3, 8)
+        scale = np.max(np.abs(op8.matrix))
+        assert np.max(np.abs(sliced.matrix - op8.matrix)) <= 1e-15 * scale
+        assert np.max(np.abs(rhs13.restrict(8).data - rhs8.data)) \
+            <= 1e-15 * np.max(np.abs(rhs8.data))
+
+    def test_dimension_cap_is_checked_before_allocating(self):
+        # 100 cylinders at N = 100: dim 20100 > DENSE_DIM_CAP = 20000, a
+        # 6.5 GB matrix that must be refused before anything is built
+        sc = Scene(tuple(Cylinder((3.0 * i, 0.0), 1.0) for i in range(100)),
+                   0.6, PlaneWave(0.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError, match="20100"):
+                assemble_system(sc, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_raw_and_preconditioned_agree(self, close_scene):
         # Solving V Phi = f and (I + A) Phi = g must give the same physics.
         opV, f = assemble_raw(close_scene, 8)
         opA, g = assemble_system(close_scene, 8)
-        phiV = np.linalg.solve(opV.dense(), f.flat())
-        phiA = np.linalg.solve(opA.dense(), g.flat())
+        phiV = np.linalg.solve(opV.matrix, f.flat())
+        phiA = np.linalg.solve(opA.matrix, g.flat())
         assert np.linalg.norm(phiV - phiA) < 1e-10 * np.linalg.norm(phiA)
 
     def test_matvec_matches_dense(self, close_scene, rng):
@@ -214,7 +244,7 @@ class TestSystemAssembly:
         vec = CoefficientVector(
             (rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))))
         lhs = op.matvec(vec).flat()
-        rhs = op.dense() @ vec.flat()
+        rhs = op.matrix @ vec.flat()
         assert np.linalg.norm(lhs - rhs) < 1e-13 * np.linalg.norm(rhs)
 
     def test_translation_covariance_plane_wave(self, moderate_scene):
@@ -227,7 +257,7 @@ class TestSystemAssembly:
                   for c in base.cylinders), k, PlaneWave(beta))
         op0, rhs0 = assemble_system(base, 6)
         op1, rhs1 = assemble_system(moved, 6)
-        assert np.max(np.abs(op1.dense() - op0.dense())) < 1e-12
+        assert np.max(np.abs(op1.matrix - op0.matrix)) < 1e-12
         phase = np.exp(1j * k * (math.cos(beta) * t[0] + math.sin(beta) * t[1]))
         assert np.max(np.abs(rhs1.flat() - phase * rhs0.flat())) < 1e-12
         phi0 = solve(op0, rhs0).solution.flat()
@@ -297,7 +327,7 @@ class TestDump:
         mat, M, N, k = load_system_dump(path)
         assert (M, N) == (3, 4)
         assert k == close_scene.wavenumber
-        assert np.array_equal(mat, op.dense())
+        assert np.array_equal(mat, op.matrix)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.dump"

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memscat
 from memscat import Cylinder, PlaneWave, Scene, dumps_scene, loads_scene
 from memscat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -224,3 +226,12 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
         assert "scene ok" in proc.stdout
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(path, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert memscat.__version__ == declared

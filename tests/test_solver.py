@@ -72,7 +72,7 @@ class TestDense:
     def test_solves_the_assembled_equations_entrywise(self, moderate_system):
         op, rhs = moderate_system
         result = solve_dense(op, rhs)
-        defect = op.dense() @ result.solution.flat() - rhs.flat()
+        defect = op.matrix @ result.solution.flat() - rhs.flat()
         assert np.max(np.abs(defect)) < 1e-11
 
     def test_condition_estimate_is_optional(self, moderate_system):
@@ -82,11 +82,8 @@ class TestDense:
         assert est is not None and est >= 1.0
 
     def test_singular_system_raises(self):
-        blocks = {(0, 1): np.array([[-1.0 + 0j]]),
-                  (1, 0): np.array([[-1.0 + 0j]])}
-        tags = {(0, 0): "identity", (1, 1): "identity",
-                (0, 1): "dense", (1, 0): "dense"}
-        op = BlockOperator(2, 0, tags, blocks)
+        op = BlockOperator(2, 0, np.array([[1.0, -1.0], [-1.0, 1.0]],
+                                          dtype=np.complex128))
         rhs = CoefficientVector(np.ones((2, 1), dtype=np.complex128))
         with pytest.raises(SingularSystemError):
             solve_dense(op, rhs)
@@ -151,7 +148,8 @@ class TestReflections:
         op, rhs = moderate_system
         fo = first_order_solution(op, rhs)
         assert np.array_equal(fo.solution.data, rhs.data)
-        manual = np.linalg.norm(op.apply_coupling(rhs).flat())
+        coupling = op.matrix - np.eye(op.dim)
+        manual = np.linalg.norm(coupling @ rhs.flat())
         assert fo.residual == pytest.approx(manual, rel=1e-12)
 
     def test_divergence_is_flagged_not_raised(self, touching_scene):
