@@ -14,8 +14,7 @@ from .assembly import (NORM_L0, NORM_LHALF, BlockOperator, CoefficientVector,
                        mode_weights, pairing_block_quadrature)
 from .errors import (CapabilityError, InsufficientPointsError,
                      InteriorPointError, NonConvergenceError,
-                     SceneValidationError, SingularPreconditionerError,
-                     SingularSystemError)
+                     SceneValidationError, SingularSystemError)
 from .field import (boundary_residual, far_field_amplitude, incident_field,
                     scattered_field, single_layer_field_quadrature,
                     total_field, total_field_grid, write_field_csv,

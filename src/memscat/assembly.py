@@ -35,16 +35,12 @@ import numpy as np
 import scipy.special
 
 from . import specfun
-from .errors import CapabilityError, SingularPreconditionerError
+from .errors import CapabilityError
 from .scene import PairGeometry, PlaneWave, PointSource, Scene, pairwise_geometry
 
 # assembly refuses systems with more unknowns than this; every backend
 # works on the stored (dim, dim) matrix
 DENSE_DIM_CAP = 20000
-
-# |J_m(k a_p)| below this floor (for modes that can actually vanish) means an
-# interior eigenvalue hit; the diagonal is then not invertible in practice
-PRECOND_FLOOR = 1e-13
 
 NORM_L0 = "l0"
 NORM_LHALF = "lhalf"
@@ -250,10 +246,9 @@ def incident_coeffs(scene: Scene, geom: PairGeometry, p: int, N: int) -> np.ndar
 def precond_diag(scene: Scene, p: int, N: int) -> np.ndarray:
     """Inverse of the self block: B^pp_mm = 1 / V^pp_mm, modes -N..N.
 
-    Raises SingularPreconditionerError when |J_m(k a_p)| sits on the
-    PRECOND_FLOOR for a mode that can actually vanish (m <= ceil(k a_p) + 10;
-    higher modes decay without zeros, and there the product J_m H_m ~
-    1/(i pi m) stays comfortably invertible in scaled arithmetic).
+    Unbounded where J_m(k a_p) = 0 (an interior Dirichlet eigenvalue); the
+    assembled system never forms it, since J_m cancels against the J_m
+    factor of every coupling block and incident coefficient.
     """
     k = scene.wavenumber
     a_p = scene.cylinders[p].radius
@@ -262,13 +257,6 @@ def precond_diag(scene: Scene, p: int, N: int) -> np.ndarray:
     am = np.abs(m)
     jm, je = specfun.bessel_j_seq_scaled(N, ka)
     hm, he = specfun.hankel1_seq_scaled(N, ka)
-    m_watch = min(N, int(np.ceil(ka)) + 10)
-    watch = np.abs(specfun.scaled_to_float(jm[:m_watch + 1], je[:m_watch + 1]))
-    if np.any(watch < PRECOND_FLOOR):
-        bad = int(np.argmin(watch))
-        raise SingularPreconditionerError(
-            f"|J_{bad}(k a)| = {watch[bad]:.3g} < {PRECOND_FLOOR:g} for cylinder "
-            f"{p + 1}: k a = {ka:.6g} is numerically an interior eigenvalue")
     inv = specfun.scaled_to_float(1.0 / (jm[am] * hm[am]), -(je[am] + he[am]))
     return inv / (0.5j * np.pi * a_p)
 
@@ -405,8 +393,10 @@ def single_layer_pairing_quadrature(scene: Scene, p: int, q: int, m: int, n: int
 
     Distinct circles: tensor trapezoid (spectrally accurate for the analytic
     kernel).  Same circle: Kress' rule for the logarithmic singularity.  The
-    kernel is evaluated with scipy.special so this path shares no code with
-    the scaled Bessel machinery it certifies.
+    kernel is evaluated with scipy.special's hankel1 (AMOS) and j0 (cephes).
+    The scaled Bessel machinery it certifies takes from scipy only the cephes
+    y0/y1 anchors of its Y recurrence (cephes y0 calls j0 below x = 5); every
+    other value, and every order above 1, comes from specfun's recurrences.
     """
     block = pairing_block_quadrature(scene, p, q, max(abs(m), abs(n)), n_quad)
     N = (block.shape[0] - 1) // 2

@@ -25,16 +25,14 @@ from . import analysis, field, presets, scene as scene_mod, solver
 from .assembly import NORM_L0, NORM_LHALF, assemble_system, dump_system
 from .errors import (CapabilityError, InsufficientPointsError,
                      InteriorPointError, NonConvergenceError,
-                     SceneValidationError, SingularPreconditionerError,
-                     SingularSystemError)
+                     SceneValidationError, SingularSystemError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-_NUMERICAL_ERRORS = (CapabilityError, SingularPreconditionerError,
-                     SingularSystemError, NonConvergenceError,
+_NUMERICAL_ERRORS = (CapabilityError, SingularSystemError, NonConvergenceError,
                      InsufficientPointsError, InteriorPointError,
                      OverflowError, FloatingPointError)
 
@@ -91,8 +89,6 @@ def _cmd_validate(args) -> int:
     rep = scene_mod.validate_scene(sc)
     for v in rep.violations:
         print(f"violation: {v}")
-    for w in rep.warnings:
-        print(f"warning: {w}")
     if rep.ok:
         print(f"scene ok: {sc.n_cylinders} cylinder(s), k = {sc.wavenumber:g}")
     if args.echo:

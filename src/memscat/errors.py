@@ -14,14 +14,6 @@ class CapabilityError(ValueError):
     """Requested order/argument/system size exceeds the supported envelope."""
 
 
-class SingularPreconditionerError(ArithmeticError):
-    """A self-interaction diagonal entry is too close to zero to invert.
-
-    Happens when k*a_p sits on (or numerically on) an interior Dirichlet
-    eigenvalue of a cylinder, i.e. J_m(k a_p) ~ 0 for some low mode m.
-    """
-
-
 class SingularSystemError(ArithmeticError):
     """Dense factorization failed; the truncated system is numerically singular."""
 

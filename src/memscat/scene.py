@@ -27,13 +27,9 @@ import numpy as np
 import yaml
 
 from .errors import SceneValidationError
-from . import specfun
 
 # tangency guard: centers must be farther apart than the radius sum by this
 OVERLAP_SLACK = 1e-12
-
-# a mode with |J_m(k a_p)| below this sits on an interior Dirichlet eigenvalue
-EIGENVALUE_WARN_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,6 @@ class Scene:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -96,12 +91,12 @@ class PairGeometry:
 
 
 def validate_scene(scene: Scene) -> ValidationReport:
-    """Check hard preconditions and numerically risky configurations.
+    """Check hard preconditions.
 
     Violations (overlap/tangency, nonpositive radius or wavenumber, a source
-    inside an obstacle, empty scene) make the scene unusable.  A near interior
-    eigenvalue (min_m |J_m(k a_p)| < 1e-6 over the modes that can vanish) only
-    warns: the system is still solvable, just increasingly ill-conditioned.
+    inside an obstacle, empty scene) make the scene unusable.  Interior
+    Dirichlet eigenvalues (J_m(k a_p) = 0) are not a concern: the
+    preconditioned system divides only by H_m(k a_p), which has no real zeros.
     """
     rep = ValidationReport()
     if scene.n_cylinders == 0:
@@ -145,25 +140,6 @@ def validate_scene(scene: Scene) -> ValidationReport:
     else:
         rep.violations.append(f"unknown incident field {type(scene.incident).__name__}")
 
-    if rep.violations:
-        return rep
-
-    k = scene.wavenumber
-    for p in range(n):
-        ka = k * radii[p]
-        # zeros of J_m live at arguments >= its first zero (> m), so only
-        # orders m <= ka can sit near one; higher orders are just small by
-        # ordinary Bessel decay and say nothing about conditioning
-        m_hi = int(np.floor(ka))
-        mant, exp2 = specfun.bessel_j_grid_scaled(max(m_hi, 0), ka)
-        vals = np.abs(specfun.scaled_to_float(mant[: m_hi + 1, 0],
-                                              exp2[: m_hi + 1, 0]))
-        if float(np.min(vals)) < EIGENVALUE_WARN_FLOOR:
-            m_bad = int(np.argmin(vals))
-            rep.warnings.append(
-                f"cylinder {p + 1}: |J_{m_bad}(k a)| = {vals[m_bad]:.3g} < "
-                f"{EIGENVALUE_WARN_FLOOR:g}; k a = {ka:.6g} is near an interior "
-                f"Dirichlet eigenvalue and the system will be ill-conditioned")
     return rep
 
 

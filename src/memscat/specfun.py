@@ -1,12 +1,14 @@
 """Cylinder Bessel functions with an extended exponent range, plus two
 hypergeometric helpers used by the truncation-bound series.
 
-Why not scipy.special: the multipole blocks need J_m and H_m^(1) up to order
-200 at arguments as small as k*a ~ 1e-3, where J underflows (J_200(0.3) ~
-1e-540) and Y overflows (~1e+537) in IEEE doubles long before the *ratios*
+Why not scipy.special alone: the multipole blocks need J_m and H_m^(1) up to
+order 200 at arguments as small as k*a ~ 1e-3, where J underflows (J_200(0.3)
+~ 1e-540) and Y overflows (~1e+537) in IEEE doubles long before the *ratios*
 that actually enter the system matrices are formed.  Every sequence here is
 therefore carried as a (mantissa, exponent-of-2) pair, value = mant * 2**exp,
-and callers combine exponents before converting to plain floats.
+and callers combine exponents before converting to plain floats.  scipy
+supplies only the order-0 and order-1 anchors of the Y recurrence; every
+higher order comes from the scaled recurrences below.
 
 Method notes
 ------------
@@ -14,9 +16,10 @@ Method notes
   J_0(x) + 2*sum_k J_2k(x) = 1 (Abramowitz & Stegun 9.1.46).  The start order
   sits well past the turning point so contamination by the dominant solution
   is below 1e-16 relative.
-* Y_0, Y_1: ascending series (A&S 9.1.13) in 80-bit arithmetic for x <= 17,
-  Hankel's asymptotic expansion (A&S 9.2.5-9.2.10) beyond.  The crossover is
-  chosen so both branches stay under ~5e-13 relative error.
+* Y_0, Y_1: scipy.special.y0 / y1 (cephes).  Against 40-digit references,
+  relative to max(|Y|, sqrt(2/(pi x))), Y_0, Y_1, Y_5 and Y_30 are within
+  4e-15 for 1 <= x <= 17, 7e-15 up to x = 100 and 3.1e-14 up to x = 1000,
+  where cephes reduces the oscillatory phase in double precision.
 * Y_m: upward recurrence from the anchors; stable, since Y is the dominant
   solution in the growing direction.
 * H_m^(1) = J_m + i Y_m, combined in scaled space per order.
@@ -29,6 +32,7 @@ OverflowError when a value exceeds the double range; underflow returns 0.0.
 from __future__ import annotations
 
 import numpy as np
+import scipy.special
 
 from .errors import CapabilityError
 
@@ -39,12 +43,6 @@ ARG_CAP = 1000.0
 # [2^-600, 2^600] during recurrences, and frexp'd to [0.5, 1) at the end.
 _RESCALE_THRESHOLD = 2.0 ** 600
 _RESCALE_SHIFT = 600
-
-_LD = np.longdouble
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-_GAMMA_LD = np.longdouble("0.57721566490153286060651209008240243")
-_SERIES_CROSSOVER = 17.0
-_ASYM_TERMS = 30
 
 
 def _check_order(m_max: int) -> int:
@@ -110,77 +108,6 @@ def scaled_log_abs(mant: np.ndarray, exp2: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# anchors: J_0, J_1, Y_0, Y_1
-# ---------------------------------------------------------------------------
-
-def _jy01_series(x: np.ndarray):
-    """Ascending-series anchors in longdouble; valid for small/moderate x."""
-    xl = x.astype(_LD)
-    q = 0.25 * xl * xl
-    lg = np.log(0.5 * xl) + _GAMMA_LD
-
-    j0 = np.ones_like(xl)
-    sh0 = np.zeros_like(xl)             # sum_k>=1 H_k (-q)^k / (k!)^2
-    j1s = np.ones_like(xl)              # sum_k (-q)^k / (k! (k+1)!)
-    sh1 = np.ones_like(xl)              # sum_k (H_k + H_{k+1}) (-q)^k / (k! (k+1)!)
-    t0 = np.ones_like(xl)
-    t1 = np.ones_like(xl)
-    hk = _LD(0.0)
-    for k in range(1, 200):
-        kl = _LD(k)
-        t0 *= -q / (kl * kl)
-        t1 *= -q / (kl * (kl + 1))
-        hk += 1 / kl
-        j0 += t0
-        sh0 += hk * t0
-        j1s += t1
-        sh1 += (hk + hk + 1 / (kl + 1)) * t1
-        if np.max(np.abs(t0)) < 1e-26 and np.max(np.abs(t1)) < 1e-26:
-            break
-    two_over_pi = _LD(2.0) / _PI_LD
-    j1 = 0.5 * xl * j1s
-    y0 = two_over_pi * (lg * j0 - sh0)
-    y1 = two_over_pi * (lg * j1 - 1.0 / xl) - (xl / (2.0 * _PI_LD)) * sh1
-    return (j0.astype(np.float64), j1.astype(np.float64),
-            y0.astype(np.float64), y1.astype(np.float64))
-
-
-def _jy01_asymptotic(x: np.ndarray):
-    """Hankel asymptotic-expansion anchors; truncation error ~ e^{-2x} at x=17."""
-    out = []
-    # argument reduction in longdouble keeps the oscillatory phase accurate
-    xl = x.astype(_LD)
-    for nu in (0, 1):
-        phase = np.mod(xl - (0.5 * nu + 0.25) * _PI_LD,
-                       2.0 * _PI_LD).astype(np.float64)
-        s = np.zeros(x.shape, dtype=np.complex128)
-        term = np.ones(x.shape, dtype=np.complex128)
-        s += term
-        for k in range(1, _ASYM_TERMS + 1):
-            term = term * (4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k) * (1j / x)
-            s += term
-        h = np.sqrt(2.0 / (np.pi * x)) * np.exp(1j * phase) * s
-        out.append(h)
-    h0, h1 = out
-    return (h0.real, h1.real, h0.imag, h1.imag)
-
-
-def _jy01(x: np.ndarray):
-    """Anchor values (J_0, J_1, Y_0, Y_1) for an array of positive arguments."""
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    y1 = np.empty_like(x)
-    lo = x <= _SERIES_CROSSOVER
-    if np.any(lo):
-        j0[lo], j1[lo], y0[lo], y1[lo] = _jy01_series(x[lo])
-    hi = ~lo
-    if np.any(hi):
-        j0[hi], j1[hi], y0[hi], y1[hi] = _jy01_asymptotic(x[hi])
-    return j0, j1, y0, y1
-
-
-# ---------------------------------------------------------------------------
 # scaled sequences over a batch of arguments
 # ---------------------------------------------------------------------------
 
@@ -193,6 +120,10 @@ def bessel_j_grid_scaled(m_max: int, x):
     """J_m(x_i) for m = 0..m_max over a batch of points, in scaled form.
 
     Returns (mant, exp2) arrays of shape (m_max+1, len(x)).
+
+    The Miller start order comes from the largest argument in the batch, so
+    the last bits of J (and of H's real part) depend on which arguments share
+    the call; Y does not.
     """
     m_max = _check_order(m_max)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -257,16 +188,14 @@ def bessel_y_grid_scaled(m_max: int, x):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_arg(x, positive=True)
     n = x.size
-    j0, j1, y0, y1 = _jy01(x)
-    del j0, j1
     mant = np.zeros((m_max + 1, n))
     exp2 = np.zeros((m_max + 1, n), dtype=np.int64)
-    mant[0] = y0
+    mant[0] = scipy.special.y0(x)
     if m_max >= 1:
-        mant[1] = y1
+        mant[1] = scipy.special.y1(x)
     if m_max >= 2:
-        ya = y0.copy()
-        yb = y1.copy()
+        ya = mant[0].copy()
+        yb = mant[1].copy()
         shift = np.zeros(n, dtype=np.int64)
         inv_x = 1.0 / x
         for m in range(1, m_max):

@@ -34,6 +34,61 @@ JY_REFERENCE = [
     (200, 250.0, -0.0059021679152339693, 0.064874115156168023),
 ]
 
+# (order, argument, Y_m(x)) at 17 significant digits: the order-0/1 anchors
+# and the upward recurrence built on them, at moderate arguments (where
+# neither the ascending series nor Hankel's expansion is accurate in double
+# precision) and up to the argument cap.
+Y_ANCHOR_REFERENCE = [
+    (0, 1.0, 0.088256964215676958),
+    (0, 3.3, 0.26909199505453384),
+    (0, 5.6, -0.33544418124531584),
+    (0, 8.1, 0.23809132870223481),
+    (0, 10.9, -0.15158319322304511),
+    (0, 13.4, 0.0084802072312510159),
+    (0, 16.9, -0.075431547555802847),
+    (0, 17.1, -0.10881904730042999),
+    (0, 123.4, -0.0065611390519846386),
+    (0, 377.7, -0.0031518738440060195),
+    (0, 641.3, -0.011408000304312441),
+    (0, 999.5, -0.0077467013969594464),
+    (1, 1.0, -0.78121282130028872),
+    (1, 3.3, 0.38785293102370989),
+    (1, 5.6, -0.056805614399479848),
+    (1, 8.1, -0.13314879595249593),
+    (1, 10.9, 0.18131850967416425),
+    (1, 13.4, -0.21755947283702858),
+    (1, 16.9, 0.17663144309012718),
+    (1, 17.1, 0.15617391314836486),
+    (1, 123.4, 0.071499539392064844),
+    (1, 377.7, -0.040938072271307013),
+    (1, 641.3, -0.029378261464392125),
+    (1, 999.5, -0.024023178433668915),
+    (5, 1.0, -260.40586662581222),
+    (5, 3.3, -1.3797570564478091),
+    (5, 5.6, -0.3006347068028849),
+    (5, 8.1, 0.26780007398223686),
+    (5, 10.9, -0.068036716257207256),
+    (5, 13.4, -0.125996052630352),
+    (5, 16.9, 0.082375189413375224),
+    (5, 17.1, 0.046234885989870223),
+    (5, 123.4, 0.070524222930987602),
+    (5, 377.7, -0.041017539081445758),
+    (5, 641.3, -0.029586576396485215),
+    (5, 999.5, -0.024114452473721774),
+    (30, 1.0, -3.0481287832256432e+39),
+    (30, 3.3, -9.2408209655544244e+23),
+    (30, 5.6, -1.4211234130390047e+17),
+    (30, 8.1, -2.9780358490042947e+12),
+    (30, 10.9, -6.4697724684254932e+8),
+    (30, 13.4, -2.2886977439692033e+6),
+    (30, 16.9, -5848.1685684198128),
+    (30, 17.1, -4385.4967658801279),
+    (30, 123.4, -0.042059021473780061),
+    (30, 377.7, -0.03692569510235536),
+    (30, 641.3, -0.010254998707054354),
+    (30, 999.5, -0.0034793230105447417),
+]
+
 EULER_GAMMA = 0.5772156649015328606
 
 
@@ -170,6 +225,13 @@ class TestReferenceGrid:
         h = specfun.hankel1(m, x)
         assert h.real == specfun.bessel_j(m, x)
         assert h.imag == specfun.bessel_y(m, x)
+
+    @pytest.mark.parametrize("m,x,y_ref", Y_ANCHOR_REFERENCE)
+    def test_y_anchors_match_reference(self, m, x, y_ref):
+        # Y oscillates through zeros, so the error is measured against the
+        # larger of |Y| and the oscillation envelope sqrt(2 / (pi x)).
+        scale = max(abs(y_ref), math.sqrt(2.0 / (math.pi * x)))
+        assert abs(specfun.bessel_y(m, x) - y_ref) <= 1e-13 * scale
 
     def test_series_point_oracles(self):
         worst = check_point_oracles()
