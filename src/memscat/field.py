@@ -9,6 +9,17 @@ the closed form of the single-layer potential of the Fourier basis for
 r_p > a_p (interior points are rejected).  A direct trapezoid quadrature of
 the layer potential is kept alongside as an independent oracle; the two
 must agree to quadrature accuracy wherever both are defined.
+
+The sum is taken in plain doubles.  Per cylinder, the radial factor is
+written c_m P_m with c_m = J_m(k a_p) H_m(k a_p) and
+P_m = H_m(k r_p) / H_m(k a_p).  |H_m| decreases in its argument, so
+|P_m| <= 1 for r_p >= a_p, and |c_m| is O(1/m): no term leaves the double
+range, even where H_m(k r_p) itself does.  P_0 and P_1 come from cephes
+j0/j1/y0/y1 at k r_p, and higher orders from the Hankel recurrence divided
+by H_{m+1}(k a_p).  specfun's scaled tables are used only at the radii, for
+c_m and the ratios s_m = H_m(k a_p) / H_{m+1}(k a_p), so the cost is
+O(points x N) complex arithmetic and each value depends on its own point
+alone.  Points with k r_p > ARG_CAP raise CapabilityError.
 """
 
 from __future__ import annotations
@@ -67,25 +78,41 @@ def scattered_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
 
 def _scattered_unchecked(scene: Scene, phi: CoefficientVector,
                          pts: np.ndarray) -> np.ndarray:
+    # P_m = H_m(k r_p) / H_m(k a_p), |P_m| <= 1, by the recurrence
+    #     P_{m+1} = (2m / x) s_m P_m - s_{m-1} s_m P_{m-1},  x = k r_p,
+    # with s_m = H_m(k a_p) / H_{m+1}(k a_p); c_m and s_m are the only
+    # values taken from the scaled tables, once per scene at the radii.
     k = scene.wavenumber
     N = phi.truncation
+    ka = k * np.array([cyl.radius for cyl in scene.cylinders])
+    hm, he = specfun.hankel1_grid_scaled(N + 1, ka)
+    jm, je = specfun.bessel_j_grid_scaled(N + 1, ka)
+    weight = specfun.scaled_to_float(jm * hm, je + he)
+    step = specfun.scaled_to_float(hm[:-1] / hm[1:], he[:-1] - he[1:])
+    h01 = specfun.scaled_to_float(hm[:2], he[:2])
     out = np.zeros(pts.shape[0], dtype=np.complex128)
     for p, cyl in enumerate(scene.cylinders):
         dx = pts[:, 0] - cyl.center[0]
         dy = pts[:, 1] - cyl.center[1]
         r = np.hypot(dx, dy)
-        th = np.arctan2(dy, dx)
-        jm, je = specfun.bessel_j_seq_scaled(N, k * cyl.radius)
-        hm, he = specfun.hankel1_grid_scaled(N, k * r)
-        # scaled product J_m(k a_p) H_m(k r_p); bounded since r > a_p
-        radial = specfun.scaled_to_float(jm[:, None] * hm, je[:, None] + he)
+        x = k * r
+        # the anchors take any argument, so the envelope is checked here
+        specfun._check_arg(x, positive=True)
+        z = (dx + 1j * dy) / r                      # e^{i theta_p}
+        p_prev = (scipy.special.j0(x) + 1j * scipy.special.y0(x)) / h01[0, p]
+        p_cur = (scipy.special.j1(x) + 1j * scipy.special.y1(x)) / h01[1, p]
         pref = 0.25j * np.sqrt(2.0 * np.pi * cyl.radius)
-        acc = phi.get(p, 0) * radial[0]
+        c = pref * weight[:, p]
+        acc = (c[0] * phi.get(p, 0)) * p_prev
+        inv_x = 1.0 / x
+        zm = z
         for m in range(1, N + 1):
-            phase = np.exp(1j * m * th)
-            acc = acc + radial[m] * (phi.get(p, m) * phase
-                                     + phi.get(p, -m) / phase)
-        out += pref * acc
+            acc += p_cur * ((c[m] * phi.get(p, m)) * zm
+                            + (c[m] * phi.get(p, -m)) * zm.conj())
+            p_prev, p_cur = p_cur, ((2.0 * m * step[m, p]) * inv_x * p_cur
+                                    - (step[m - 1, p] * step[m, p]) * p_prev)
+            zm = zm * z
+        out += acc
     return out
 
 
@@ -183,18 +210,32 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
 
 
 def write_field_csv(path, X, Y, U, inside) -> None:
-    """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles)."""
+    """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles).
+
+    Each column is formatted in one pass, x and y only at their distinct
+    values (nx + ny of them on a grid), and the rows are written at once.
+    """
+    fmt = "{:.16e}".format
+    flag = np.ravel(inside).astype(bool)
+    u = np.ravel(U)
+    re = np.where(flag, np.nan, u.real)
+    im = np.where(flag, np.nan, u.imag)
+
+    def distinct(values):
+        # keyed on the bit pattern, so -0.0 and 0.0 keep their own text
+        bits = np.ravel(np.asarray(values, dtype=np.float64)).view(np.int64)
+        keys, index = np.unique(bits, return_inverse=True)
+        text = list(map(fmt, keys.view(np.float64).tolist()))
+        return map(text.__getitem__, index.tolist())
+
+    rows = map("{},{},{},{},{},{}\n".format, distinct(X), distinct(Y),
+               map(fmt, re.tolist()), map(fmt, im.tolist()),
+               # np.hypot is what abs() of a complex128 scalar computes
+               map(fmt, np.hypot(re, im).tolist()),
+               map("01".__getitem__, flag.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,re_total,im_total,abs_total,inside\n")
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                u = U[i, j]
-                flag = int(inside[i, j])
-                if flag:
-                    fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},nan,nan,nan,1\n")
-                else:
-                    fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},{u.real:.16e},"
-                             f"{u.imag:.16e},{abs(u):.16e},0\n")
+        fh.write("".join(rows))
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

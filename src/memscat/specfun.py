@@ -146,7 +146,6 @@ def bessel_j_grid_scaled(m_max: int, x):
     store_e = np.zeros((m_max + 1, xs.size), dtype=np.int64)
     # even-order accumulator for the normalization sum, kept in scaled form
     acc = np.zeros(xs.size)
-    acc_e = np.zeros(xs.size, dtype=np.int64)
     if start % 2 == 0:
         acc[:] = 2.0 * fc
 

@@ -202,6 +202,15 @@ class TestField:
         assert flags == {"0", "1"}
         assert "far_field.csv" in (tmp_path / "far_field.gp").read_text()
 
+    def test_grid_beyond_argument_cap_fails(self, capsys, tmp_path):
+        # k r_p reaches 0.6 * 2000 = 1200 > ARG_CAP
+        code, _, err = run(capsys, "field", "far", "-N", "4",
+                           "--xlim", "2000", "2001", "--ylim", "0", "1",
+                           "--nx", "2", "--ny", "2", "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "cap" in err
+        assert not (tmp_path / "far_field.csv").exists()
+
     def test_divergent_backend_writes_nothing(self, capsys, tmp_path):
         code, _, err = run(capsys, "field", "touching", "-N", "10",
                            "--backend", "reflections",

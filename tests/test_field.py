@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memscat import (
+    CapabilityError,
     Cylinder,
     InteriorPointError,
     PlaneWave,
@@ -110,6 +111,39 @@ class TestScatteredField:
         lower = upper * np.array([1.0, -1.0])
         assert np.max(np.abs(scattered_field(sc, phi, upper)
                              - scattered_field(sc, phi, lower))) < 1e-9
+
+    def test_values_do_not_depend_on_the_batch(self, far_scene, far_phi):
+        # The far points set the largest k r_p of the big batch; each point's
+        # value is computed from its own coordinates alone.
+        pts = np.concatenate([exterior_cloud(far_scene, 300),
+                              [[1500.0, 0.0], [-900.0, 700.0]]])
+        full = scattered_field(far_scene, far_phi, pts)
+        for sub in (np.arange(5), np.arange(7, 300, 13), [301, 2, 300]):
+            part = scattered_field(far_scene, far_phi, pts[sub])
+            assert np.array_equal(part.view(np.int64), full[sub].view(np.int64))
+
+    def test_deep_orders_on_small_cylinders(self):
+        # k a = 5e-5 at N = 60: H_60(k r_p) near the rims is ~1e356, out of
+        # double range, while each term of the radiation sum is bounded.
+        a = 1e-3
+        sc = Scene((Cylinder((0.0, 0.0), a), Cylinder((4e-3, 0.0), a)),
+                   0.05, PointSource((-0.01, 0.003)))
+        op, rhs = assemble_system(sc, 60)
+        phi = solve(op, rhs).solution
+        t = 2.0 * np.pi * np.arange(8) / 8
+        pts = np.concatenate([
+            np.stack([cx + rr * np.cos(t), rr * np.sin(t)], axis=1)
+            for cx in (0.0, 4e-3) for rr in (1.2 * a, 1.5 * a)])
+        u = scattered_field(sc, phi, pts)
+        assert np.all(np.isfinite(u))
+        u_quadrature = single_layer_field_quadrature(sc, phi, pts, n_quad=512)
+        assert np.max(np.abs(u - u_quadrature)) < 1e-8
+
+    def test_argument_cap_is_enforced(self, single_solution):
+        sc, phi = single_solution
+        # k r_p = 0.6 * 2000 = 1200 > ARG_CAP
+        with pytest.raises(CapabilityError):
+            scattered_field(sc, phi, np.array([[2000.0, 0.0]]))
 
 
 class TestBoundaryResidual:
@@ -219,6 +253,40 @@ class TestGrid:
         assert center[2] == "nan" and center[5] == "1"
         corner = lines[1].split(",")
         assert corner[5] == "0" and np.isfinite(float(corner[2]))
+
+    def test_csv_matches_row_by_row_writer(self, tmp_path, far_scene, far_phi):
+        def row_writer(path, X, Y, U, inside):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("x,y,re_total,im_total,abs_total,inside\n")
+                for i in range(X.shape[0]):
+                    for j in range(X.shape[1]):
+                        u = U[i, j]
+                        if int(inside[i, j]):
+                            fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},"
+                                     "nan,nan,nan,1\n")
+                        else:
+                            fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},"
+                                     f"{u.real:.16e},{u.imag:.16e},"
+                                     f"{abs(u):.16e},0\n")
+
+        grid = total_field_grid(far_scene, far_phi, (-3.0, 14.0), (-5.0, 3.0),
+                                18, 9)
+        assert grid[3].any() and not grid[3].all()
+        # scattered samples with repeats and both signed zeros
+        rng = np.random.default_rng(11)
+        X = rng.choice([-7.25, -0.0, 0.0, 3.5, 1e-300, 19.0], size=(6, 7))
+        Y = rng.uniform(-20.0, 20.0, size=(6, 7))
+        Y[2, :3] = Y[0, :3]
+        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        inside = interior_mask(far_scene, pts)
+        U = np.full(pts.shape[0], np.nan + 0j)
+        U[~inside] = total_field(far_scene, far_phi, pts[~inside])
+        scattered = (X, Y, U.reshape(X.shape), inside.reshape(X.shape))
+        for case in (grid, scattered):
+            write_field_csv(tmp_path / "new.csv", *case)
+            row_writer(tmp_path / "old.csv", *case)
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
 
     def test_plot_script_references_the_csv(self, tmp_path):
         path = tmp_path / "field.gp"
