@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_scene(token: str, wavenumber: float | None):
     if token in presets.PRESET_NAMES:
         sc = presets.preset_scene(token, wavenumber=wavenumber
@@ -303,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence sweep with envelopes")
     _add_common(p)
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=25)
+    p.add_argument("--n-max", type=int, default=25,
+                   help="at most 95: the reference solve takes n-max + "
+                        f"{analysis.REFERENCE_MARGIN}, and N <= 100")
     p.add_argument("--k", action="append", type=float, default=None,
                    help="wavenumber list (repeatable); default: scene value")
     p.add_argument("--norm", choices=[NORM_L0, NORM_LHALF], default=NORM_L0)
@@ -331,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dense")
     p.add_argument("--xlim", type=float, nargs=2, required=True)
     p.add_argument("--ylim", type=float, nargs=2, required=True)
-    p.add_argument("--nx", type=int, default=100)
-    p.add_argument("--ny", type=int, default=100)
+    p.add_argument("--nx", type=_positive_int, default=100)
+    p.add_argument("--ny", type=_positive_int, default=100)
     p.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("selftest", help="run built-in oracle cross-checks")

@@ -69,8 +69,9 @@ def scattered_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
     """Evaluate the radiated field at exterior points; raises
     InteriorPointError if any point sits inside an obstacle."""
     pts = _as_points(points)
-    if np.any(interior_mask(scene, pts)):
-        bad = int(np.nonzero(interior_mask(scene, pts))[0][0])
+    inside = np.flatnonzero(interior_mask(scene, pts))
+    if inside.size:
+        bad = int(inside[0])
         raise InteriorPointError(
             f"point {tuple(pts[bad])} lies inside a cylinder")
     return _scattered_unchecked(scene, phi, pts)
@@ -155,15 +156,14 @@ def boundary_residual(scene: Scene, phi: CoefficientVector,
     pure truncation-plus-solve error.
     """
     cyls = scene.cylinders if p is None else (scene.cylinders[p],)
-    worst = 0.0
-    for cyl in cyls:
-        t = 2.0 * np.pi * np.arange(samples_per_cylinder) / samples_per_cylinder
-        rr = cyl.radius * (1.0 + offset)
-        pts = np.stack([cyl.center[0] + rr * np.cos(t),
-                        cyl.center[1] + rr * np.sin(t)], axis=1)
-        vals = incident_field(scene, pts) + _scattered_unchecked(scene, phi, pts)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    t = 2.0 * np.pi * np.arange(samples_per_cylinder) / samples_per_cylinder
+    circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+    # all samples in one evaluation: each value depends on its own point alone
+    pts = np.concatenate([np.asarray(cyl.center)
+                          + cyl.radius * (1.0 + offset) * circle
+                          for cyl in cyls])
+    vals = incident_field(scene, pts) + _scattered_unchecked(scene, phi, pts)
+    return float(np.max(np.abs(vals)))
 
 
 def far_field_amplitude(scene: Scene, phi: CoefficientVector, angles) -> np.ndarray:
@@ -209,33 +209,139 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
     return X, Y, vals.reshape(ny, nx), inside.reshape(ny, nx)
 
 
+# '{:.16e}' text is at most 24 bytes: '-d.dddddddddddddddde-ddd'
+_TEXT_WIDTH = 24
+_SPLITTER = 134217729.0                 # 2^27 + 1, Dekker's split
+# |x| in this range keeps every split and product a normal double
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_TIE_WINDOW = 2.0 ** -30
+_DIGITS_LO, _DIGITS_HI = 10 ** 16, 10 ** 17
+
+
+def _split(a: np.ndarray):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10(k: np.ndarray):
+    """10^k as unevaluated double-double pairs (hi, lo), each half the
+    correctly rounded value of an exact rational; computed only for the
+    exponents present in k."""
+    from fractions import Fraction
+    k0 = int(k.min())
+    hi = np.zeros(int(k.max()) - k0 + 1)
+    lo = np.zeros_like(hi)
+    for i in np.flatnonzero(np.bincount(k - k0)).tolist():
+        exact = Fraction(10) ** (k0 + i)
+        hi[i] = float(exact)
+        lo[i] = float(exact - Fraction(hi[i]))
+    return hi[k - k0], lo[k - k0]
+
+
+def _round_digits(a: np.ndarray, E: np.ndarray):
+    """d = round_half_even(a 10^(16-E)) as int64, a flag where a 10^(16-E)
+    itself lies below 10^16, and a flag where its fraction is too close to
+    1/2 to round here."""
+    hi, lo = _pow10(16 - E)
+    p = a * hi
+    ah, al = _split(a)
+    bh, bl = _split(hi)
+    # p + err == a * hi exactly (Dekker's product; numpy has no FMA)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    # a 10^(16-E) == p + t up to a |10^k - hi - lo| and the roundings of
+    # a * lo and of the sum: below 2^-46 in absolute terms while
+    # a 10^(16-E) < 2^57.  From 2^53 on the double p is an integer, so the
+    # digits are p + floor(t) plus the rounding of the fraction of t.
+    t = err + a * lo
+    whole = np.floor(t)
+    frac = t - whole
+    floor = p.astype(np.int64) + whole.astype(np.int64)
+    return (floor + (frac > 0.5), floor < _DIGITS_LO,
+            np.abs(frac - 0.5) < _TIE_WINDOW)
+
+
+def _format_column(values) -> np.ndarray:
+    """'{:.16e}'.format of every value of a float64 column, as an (n, 24)
+    uint8 table of the text padded with zero bytes.
+
+    The 17 digits d = round_half_even(|x| 10^(16-E)) come from double-double
+    arithmetic, with E from floor(log10 |x|) corrected once where d leaves
+    [10^16, 10^17).  Values that are not finite, lie outside
+    [1e-280, 1e280] in magnitude, or whose scaled fraction lies within
+    2^-30 of 1/2 (the arithmetic above is exact to about 2^-46) are
+    formatted by '{:.16e}'.format itself, once per distinct bit pattern.
+    """
+    x = np.ravel(np.asarray(values, dtype=np.float64))
+    planes = np.zeros((_TEXT_WIDTH, x.size), dtype=np.uint8)
+    if x.size == 0:
+        return planes.T
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    d, low, near_tie = _round_digits(a, E)
+    off = low | (d >= _DIGITS_HI)
+    if off.any():
+        E[off] += np.where(low[off], -1, 1)
+        d[off], low[off], near_tie[off] = _round_digits(a[off], E[off])
+    slow = ~fast | low | near_tie | (d >= _DIGITS_HI)
+
+    # rows: sign, d0, '.', d1..d16, 'e', exponent sign, 2 or 3 digits
+    planes[0] = np.where(np.signbit(x), ord("-"), 0)
+    # two uint32 halves of 9 and 8 digits: numpy divides those by a
+    # constant far faster than int64 (np.divmod is not accelerated)
+    upper = (d // 10 ** 8).astype(np.uint32)
+    lower = (d - upper * np.int64(10 ** 8)).astype(np.uint32)
+    for rows, digits in ((range(18, 10, -1), lower),
+                         ((*range(10, 2, -1), 1), upper)):
+        for row in rows:
+            quotient = digits // np.uint32(10)
+            planes[row] = digits - quotient * np.uint32(10)
+            digits = quotient
+    planes[1:19] += ord("0")
+    planes[2] = ord(".")
+    planes[19] = ord("e")
+    e0 = int(E.min())
+    exponents = b"".join(f"{e:+03d}".encode().ljust(4, b"\0")
+                         for e in range(e0, int(E.max()) + 1))
+    planes[20:] = np.frombuffer(exponents, np.uint8).reshape(-1, 4)[E - e0].T
+
+    if slow.any():
+        index = np.flatnonzero(slow)
+        keys, inverse = np.unique(x[index].view(np.int64),
+                                  return_inverse=True)
+        text = b"".join("{:.16e}".format(v).encode().ljust(_TEXT_WIDTH, b"\0")
+                        for v in keys.view(np.float64).tolist())
+        table = np.frombuffer(text, np.uint8).reshape(-1, _TEXT_WIDTH)
+        planes[:, index] = table[inverse].T
+    return planes.T
+
+
 def write_field_csv(path, X, Y, U, inside) -> None:
     """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles).
 
-    Each column is formatted in one pass, x and y only at their distinct
-    values (nx + ny of them on a grid), and the rows are written at once.
+    Every number is exactly Python's '{:.16e}' text.  It is produced a whole
+    column at a time by `_format_column`, which falls back to
+    '{:.16e}'.format itself wherever its own arithmetic cannot decide a
+    digit, and the rows are written in one call.
     """
-    fmt = "{:.16e}".format
     flag = np.ravel(inside).astype(bool)
     u = np.ravel(U)
     re = np.where(flag, np.nan, u.real)
     im = np.where(flag, np.nan, u.imag)
-
-    def distinct(values):
-        # keyed on the bit pattern, so -0.0 and 0.0 keep their own text
-        bits = np.ravel(np.asarray(values, dtype=np.float64)).view(np.int64)
-        keys, index = np.unique(bits, return_inverse=True)
-        text = list(map(fmt, keys.view(np.float64).tolist()))
-        return map(text.__getitem__, index.tolist())
-
-    rows = map("{},{},{},{},{},{}\n".format, distinct(X), distinct(Y),
-               map(fmt, re.tolist()), map(fmt, im.tolist()),
-               # np.hypot is what abs() of a complex128 scalar computes
-               map(fmt, np.hypot(re, im).tolist()),
-               map("01".__getitem__, flag.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,re_total,im_total,abs_total,inside\n")
-        fh.write("".join(rows))
+    # np.hypot is what abs() of a complex128 scalar computes
+    columns = (X, Y, re, im, np.hypot(re, im))
+    cell = _TEXT_WIDTH + 1
+    table = np.zeros((flag.size, cell * len(columns) + 2), dtype=np.uint8)
+    for i, column in enumerate(columns):
+        table[:, i * cell:(i + 1) * cell - 1] = _format_column(column)
+        table[:, (i + 1) * cell - 1] = ord(",")
+    table[:, -2] = flag + ord("0")
+    table[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
+        fh.write(table[table != 0].tobytes())
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

@@ -231,6 +231,19 @@ class TestSystemAssembly:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_truncation_cap_is_checked_before_any_table(self, far_scene,
+                                                        monkeypatch):
+        # couplings need H_{2N}, so N = 101 needs order 202 > ORDER_CAP
+        from memscat import specfun
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+        for name in ("hankel1_grid_scaled", "bessel_j_grid_scaled"):
+            monkeypatch.setattr(specfun, name, refuse)
+        for assemble in (assemble_system, assemble_raw):
+            with pytest.raises(CapabilityError, match=r"N = 101 .*N <= 100"):
+                assemble(far_scene, 101)
+
     def test_raw_and_preconditioned_agree(self, close_scene):
         # Solving V Phi = f and (I + A) Phi = g must give the same physics.
         opV, f = assemble_raw(close_scene, 8)

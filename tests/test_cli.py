@@ -107,6 +107,17 @@ class TestSolve:
         assert code == EXIT_VALIDATION
         assert "rejected" in err
 
+    def test_truncation_beyond_order_cap_fails(self, capsys, tmp_path):
+        # couplings need H_{2N}, and orders are capped at 200
+        code, _, err = run(capsys, "solve", "far", "-N", "101",
+                           "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "N = 101" in err and "N <= 100" in err and "H_{2N}" in err
+        assert not (tmp_path / "far_solution.csv").exists()
+        code, _, _ = run(capsys, "solve", "far", "-N", "100",
+                         "-o", str(tmp_path))
+        assert code == EXIT_OK
+
     def test_unwritable_outdir_exits_io(self, capsys, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file, not directory")
@@ -171,6 +182,14 @@ class TestSweep:
         assert "warning" in err
         assert (tmp_path / "far_sweep_k15.csv").exists()
 
+    def test_reference_beyond_order_cap_fails(self, capsys, tmp_path):
+        # the reference solve takes N = n_max + 5 = 101 > 100
+        code, _, err = run(capsys, "sweep", "far", "--n-min", "94",
+                           "--n-max", "96", "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "N = 101" in err and "N <= 100" in err
+        assert not (tmp_path / "far_sweep_k0.6.csv").exists()
+
     def test_bad_range_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "far", "--n-min", "9",
                            "--n-max", "3", "-o", str(tmp_path))
@@ -209,6 +228,25 @@ class TestField:
                            "--nx", "2", "--ny", "2", "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
         assert "cap" in err
+        assert not (tmp_path / "far_field.csv").exists()
+
+    def test_truncation_beyond_order_cap_fails(self, capsys, tmp_path):
+        code, _, err = run(capsys, "field", "far", "-N", "101",
+                           "--xlim", "-4", "4", "--ylim", "-4", "4",
+                           "--nx", "3", "--ny", "3", "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "N <= 100" in err
+        assert not (tmp_path / "far_field.csv").exists()
+
+    @pytest.mark.parametrize("counts", [("0", "5"), ("5", "0"), ("-2", "5")])
+    def test_grid_counts_below_one_are_rejected(self, capsys, tmp_path,
+                                                counts):
+        with pytest.raises(SystemExit) as exc:
+            main(["field", "far", "-N", "4", "--xlim", "-4", "4",
+                  "--ylim", "-4", "4", "--nx", counts[0], "--ny", counts[1],
+                  "-o", str(tmp_path)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "far_field.csv").exists()
 
     def test_divergent_backend_writes_nothing(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memscat import (
     CapabilityError,
@@ -17,8 +19,11 @@ from memscat import (
     solve,
     total_field,
 )
+from memscat import specfun
 from memscat.assembly import CoefficientVector
 from memscat.field import (
+    _format_column,
+    _scattered_unchecked,
     incident_field,
     interior_mask,
     single_layer_field_quadrature,
@@ -178,6 +183,48 @@ class TestBoundaryResidual:
                    for p in range(3)]
         assert worst == pytest.approx(max(singles), rel=1e-12)
 
+    @pytest.mark.parametrize("incident", [PlaneWave(0.4),
+                                          PointSource((-3.0, -2.0))])
+    def test_one_evaluation_for_all_cylinders(self, monkeypatch, incident):
+        sc = Scene(tuple(Cylinder((2.5 * i, 2.5 * j), 0.5)
+                         for i in range(4) for j in range(4)),
+                   1.1, incident)
+        op, rhs = assemble_system(sc, 6)
+        phi = solve(op, rhs).solution
+
+        def per_cylinder_loop(offset):
+            # evaluates each cylinder's samples in a call of its own
+            t = 2.0 * np.pi * np.arange(360) / 360
+            worst = 0.0
+            for cyl in sc.cylinders:
+                rr = cyl.radius * (1.0 + offset)
+                pts = np.stack([cyl.center[0] + rr * np.cos(t),
+                                cyl.center[1] + rr * np.sin(t)], axis=1)
+                vals = (incident_field(sc, pts)
+                        + _scattered_unchecked(sc, phi, pts))
+                worst = max(worst, float(np.max(np.abs(vals))))
+            return worst
+
+        # calls made by the field code; hankel1_grid_scaled's own call to
+        # bessel_j_grid_scaled is not counted
+        calls = {"hankel1_grid_scaled": 0, "bessel_j_grid_scaled": 0}
+        depth = [0]
+        for name in calls:
+            def counted(*args, _inner=getattr(specfun, name), _name=name):
+                calls[_name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return _inner(*args)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(specfun, name, counted)
+        for offset in (0.0, 1e-6):
+            calls.update(dict.fromkeys(calls, 0))
+            batched = boundary_residual(sc, phi, offset=offset)
+            assert calls == {"hankel1_grid_scaled": 1,
+                             "bessel_j_grid_scaled": 1}
+            assert batched == per_cylinder_loop(offset)
+
 
 class TestFarField:
     def test_sqrt_r_scaling_matches_the_amplitude(self, single_solution):
@@ -288,6 +335,13 @@ class TestGrid:
             assert ((tmp_path / "new.csv").read_bytes()
                     == (tmp_path / "old.csv").read_bytes())
 
+    def test_empty_grid_writes_the_header_only(self, tmp_path):
+        empty = np.zeros((0, 4))
+        write_field_csv(tmp_path / "empty.csv", empty, empty,
+                        empty.astype(np.complex128), empty.astype(bool))
+        assert ((tmp_path / "empty.csv").read_bytes()
+                == b"x,y,re_total,im_total,abs_total,inside\n")
+
     def test_plot_script_references_the_csv(self, tmp_path):
         path = tmp_path / "field.gp"
         write_plot_script(path, "field.csv")
@@ -304,3 +358,64 @@ class TestInteriorMask:
 
     def test_accepts_single_point(self, far_scene):
         assert interior_mask(far_scene, [0.0, 0.0])[0]
+
+
+def _python_text(values) -> bytes:
+    return "".join(map("{:.16e}\n".format, values.tolist())).encode()
+
+
+def _column_text(values) -> bytes:
+    table = _format_column(values)
+    newline = np.full((table.shape[0], 1), ord("\n"), dtype=np.uint8)
+    lines = np.concatenate([table, newline], axis=1)
+    return lines[lines != 0].tobytes()
+
+
+def _assert_formats_like_python(values):
+    values = np.asarray(values, dtype=np.float64)
+    if _column_text(values) != _python_text(values):
+        table = _format_column(values)
+        bad = [(v, "{:.16e}".format(v), bytes(row[row != 0]).decode())
+               for v, row in zip(values.tolist(), table)
+               if "{:.16e}".format(v) != bytes(row[row != 0]).decode()]
+        pytest.fail(f"{len(bad)} values differ from '{{:.16e}}': {bad[:5]}")
+
+
+class TestFormatColumn:
+    """`_format_column` against its oracle, Python's '{:.16e}'.format."""
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.integers(0, 2 ** 64 - 1).map(
+            lambda bits: float(np.uint64(bits).view(np.float64)))),
+        max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_doubles(self, values):
+        _assert_formats_like_python(values)
+
+    def test_bit_patterns_and_hard_families(self):
+        rng = np.random.default_rng(5)
+        # the oracle takes up to 3 us per value at large exponents, which
+        # sets the size that keeps this test near a second
+        random_bits = rng.integers(0, 2 ** 64, size=300_000,
+                                   dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        odd = 2.0 * np.arange(1, 20001) + 1.0
+        j = np.arange(1, 20001, dtype=np.float64)
+        odd_18_digits = 2.0 * rng.integers(2 ** 30, 2 ** 31, 20000) + 1.0
+        families = [
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            odd * 5.0 * 2.0 ** 10,
+            # 18 significant digits ending in 5: exact decimal ties
+            odd_18_digits * 5.0 * 2.0 ** -10,
+            j * 2.0 ** 40,
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308, 1e-280, 1e280],
+        ]
+        _assert_formats_like_python(random_bits)
+        for values in families:
+            _assert_formats_like_python(values)
+            _assert_formats_like_python(-np.asarray(values))
+
+    def test_empty_column(self):
+        assert _format_column(np.zeros(0)).shape == (0, 24)
