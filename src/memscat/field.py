@@ -266,8 +266,8 @@ def _format_column(values) -> np.ndarray:
     uint8 table of the text padded with zero bytes.
 
     The 17 digits d = round_half_even(|x| 10^(16-E)) come from double-double
-    arithmetic, with E from floor(log10 |x|) corrected once where d leaves
-    [10^16, 10^17).  Values that are not finite, lie outside
+    arithmetic, with E from floor(log10 |x|) corrected once where
+    |x| 10^(16-E) lies below 10^16 or d reaches 10^17.  Values that are not finite, lie outside
     [1e-280, 1e280] in magnitude, or whose scaled fraction lies within
     2^-30 of 1/2 (the arithmetic above is exact to about 2^-46) are
     formatted by '{:.16e}'.format itself, once per distinct bit pattern.
