@@ -269,15 +269,7 @@ def _signed_orders(mant: np.ndarray, exp2: np.ndarray, orders: np.ndarray):
     return mant[absolute] * sign[:, None], exp2[absolute]
 
 
-def _check_capability(M: int, N: int) -> int:
-    """Reject N and M before any table or matrix exists; returns the
-    system dimension."""
-    limit = specfun.ORDER_CAP // 2
-    if N > limit:
-        raise CapabilityError(
-            f"truncation N = {N} exceeds the limit N <= {limit}: the "
-            f"couplings need H_{{2N}}, and orders are capped at "
-            f"{specfun.ORDER_CAP}")
+def _check_dense_dim(M: int, N: int) -> int:
     dim = M * (2 * N + 1)
     if dim > DENSE_DIM_CAP:
         raise CapabilityError(
@@ -307,7 +299,13 @@ def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
     solution.
     """
     M = scene.n_cylinders
-    dim = _check_capability(M, N)
+    limit = specfun.ORDER_CAP // 2
+    if N > limit:
+        raise CapabilityError(
+            f"truncation N = {N} exceeds the limit N <= {limit}: the "
+            f"couplings need H_{{2N}}, and orders are capped at "
+            f"{specfun.ORDER_CAP}")
+    dim = _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
     k = scene.wavenumber
@@ -365,7 +363,7 @@ def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
 def assemble_raw(scene: Scene, N: int, geom: PairGeometry | None = None):
     """Unpreconditioned system (V, f); mainly for certification and tests."""
     M = scene.n_cylinders
-    _check_capability(M, N)
+    _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
     V = np.block([[v_block(scene, geom, p, q, N) for q in range(M)]

@@ -266,11 +266,12 @@ def _format_column(values) -> np.ndarray:
     uint8 table of the text padded with zero bytes.
 
     The 17 digits d = round_half_even(|x| 10^(16-E)) come from double-double
-    arithmetic, with E from floor(log10 |x|) corrected once where
-    |x| 10^(16-E) lies below 10^16 or d reaches 10^17.  Values that are not finite, lie outside
-    [1e-280, 1e280] in magnitude, or whose scaled fraction lies within
-    2^-30 of 1/2 (the arithmetic above is exact to about 2^-46) are
-    formatted by '{:.16e}'.format itself, once per distinct bit pattern.
+    arithmetic, with E = floor(log10 |x|).  Values that are not finite, lie
+    outside [1e-280, 1e280] in magnitude, whose scaled fraction lies within
+    2^-30 of 1/2 (the arithmetic above is exact to about 2^-46), or whose
+    |x| 10^(16-E) lies below 10^16 or rounds to 10^17 (E off by one, next
+    to a power of ten) are formatted by '{:.16e}'.format itself, once per
+    distinct bit pattern.
     """
     x = np.ravel(np.asarray(values, dtype=np.float64))
     planes = np.zeros((_TEXT_WIDTH, x.size), dtype=np.uint8)
@@ -281,24 +282,14 @@ def _format_column(values) -> np.ndarray:
     a = np.where(fast, a, 1.0)
     E = np.floor(np.log10(a)).astype(np.int64)
     d, low, near_tie = _round_digits(a, E)
-    off = low | (d >= _DIGITS_HI)
-    if off.any():
-        E[off] += np.where(low[off], -1, 1)
-        d[off], low[off], near_tie[off] = _round_digits(a[off], E[off])
     slow = ~fast | low | near_tie | (d >= _DIGITS_HI)
 
     # rows: sign, d0, '.', d1..d16, 'e', exponent sign, 2 or 3 digits
     planes[0] = np.where(np.signbit(x), ord("-"), 0)
-    # two uint32 halves of 9 and 8 digits: numpy divides those by a
-    # constant far faster than int64 (np.divmod is not accelerated)
-    upper = (d // 10 ** 8).astype(np.uint32)
-    lower = (d - upper * np.int64(10 ** 8)).astype(np.uint32)
-    for rows, digits in ((range(18, 10, -1), lower),
-                         ((*range(10, 2, -1), 1), upper)):
-        for row in rows:
-            quotient = digits // np.uint32(10)
-            planes[row] = digits - quotient * np.uint32(10)
-            digits = quotient
+    for row in (*range(18, 2, -1), 1):
+        quotient = d // 10
+        planes[row] = d - quotient * 10
+        d = quotient
     planes[1:19] += ord("0")
     planes[2] = ord(".")
     planes[19] = ord("e")
@@ -341,7 +332,7 @@ def write_field_csv(path, X, Y, U, inside) -> None:
     table[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
-        fh.write(table[table != 0].tobytes())
+        fh.write(table[table != 0])
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

@@ -240,9 +240,15 @@ class TestSystemAssembly:
             raise AssertionError("a table was built")
         for name in ("hankel1_grid_scaled", "bessel_j_grid_scaled"):
             monkeypatch.setattr(specfun, name, refuse)
-        for assemble in (assemble_system, assemble_raw):
-            with pytest.raises(CapabilityError, match=r"N = 101 .*N <= 100"):
-                assemble(far_scene, 101)
+        with pytest.raises(CapabilityError, match=r"N = 101 .*N <= 100"):
+            assemble_system(far_scene, 101)
+
+    def test_raw_single_cylinder_needs_no_coupling_orders(self, unit_scene):
+        # one cylinder has no H_{2N} coupling, so the raw system goes on
+        # to N = ORDER_CAP
+        opV, f = assemble_raw(unit_scene, 150)
+        assert opV.matrix.shape == (301, 301)
+        assert np.all(np.isfinite(f.flat()))
 
     def test_raw_and_preconditioned_agree(self, close_scene):
         # Solving V Phi = f and (I + A) Phi = g must give the same physics.
