@@ -10,8 +10,8 @@ from .analysis import (BreakdownReport, ConvergenceReport, RateFit,
                        write_bounds_csv, write_report_csv)
 from .assembly import (NORM_L0, NORM_LHALF, BlockOperator, CoefficientVector,
                        assemble_raw, assemble_system, dump_system,
-                       incident_coeffs, load_system_dump, mode_range,
-                       mode_weights, pairing_block_quadrature)
+                       load_system_dump, mode_range, mode_weights,
+                       pairing_block_quadrature)
 from .errors import (CapabilityError, InsufficientPointsError,
                      InteriorPointError, NonConvergenceError,
                      SceneValidationError, SingularSystemError)

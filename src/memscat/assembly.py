@@ -16,20 +16,26 @@ solved downstream is the diagonally preconditioned one,
 
   (I + A) phi = g,   A^pq = B^pp V^pq (p != q),   g^p = B^pp f^p,
 
-where B^pp = (V^pp)^{-1} is diagonal.  All special-function products are
+where B^pp = (V^pp)^{-1} is diagonal.  `assemble_raw` builds (V, f) and
+`assemble_system` builds (I + A, g) from one set of batched Bessel tables
+(`_mode_tables`) and one coupling-block loop (`_fill_pair_blocks`); they
+differ only in the products they form.  All special-function products are
 combined in scaled (mantissa, exponent-of-2) arithmetic before conversion, so
 high modes neither overflow nor underflow on the way to O(1) entries.
 
-Every closed form here is certified against a quadrature route
+The entries of `assemble_raw` are certified against a quadrature route
 (`single_layer_pairing_quadrature`, `incident_trace_quadrature`) that knows
 nothing about Graf's theorem: plain tensor trapezoid between distinct circles
 and Kress' log-singularity rule (Linear Integral Equations, ch. 12) on a
-single circle, with the kernel evaluated by scipy.special.
+single circle, with the kernel evaluated by scipy.special.  Since both
+assemblies read the same tables, the certification covers the tables that
+production solves use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special
@@ -41,6 +47,8 @@ from .scene import PairGeometry, PlaneWave, PointSource, Scene, pairwise_geometr
 # assembly refuses systems with more unknowns than this; every backend
 # works on the stored (dim, dim) matrix
 DENSE_DIM_CAP = 20000
+# assemble_system refuses larger truncations: the couplings need H_{2N}
+TRUNCATION_CAP = specfun.ORDER_CAP // 2
 
 NORM_L0 = "l0"
 NORM_LHALF = "lhalf"
@@ -51,11 +59,6 @@ _EULER_GAMMA = 0.5772156649015328606065120900824024
 def mode_range(truncation: int) -> np.ndarray:
     """Signed mode indices [-N, ..., N] in storage order."""
     return np.arange(-truncation, truncation + 1)
-
-
-def _parity(orders: np.ndarray) -> np.ndarray:
-    """(-1)^m as float, for applying J_{-m} = (-1)^m J_m and likewise for H."""
-    return np.where(orders % 2 == 0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,96 +180,91 @@ class BlockOperator:
 
 
 # ---------------------------------------------------------------------------
-# closed-form blocks
+# closed-form assembly
 # ---------------------------------------------------------------------------
 
-def v_block(scene: Scene, geom: PairGeometry, p: int, q: int, N: int) -> np.ndarray:
-    """Single-layer pairing block <V b_n^q, b_m^p> for modes |m|, |n| <= N."""
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    m = mode_range(N)
-    am = np.abs(m)
-    if p == q:
-        jm, je = specfun.bessel_j_seq_scaled(N, k * a_p)
-        hm, he = specfun.hankel1_seq_scaled(N, k * a_p)
-        prod = specfun.scaled_to_float(jm[am] * hm[am], je[am] + he[am])
-        return np.diag((0.5j * np.pi * a_p) * prod)
-    a_q = scene.cylinders[q].radius
-    d = geom.distances[p, q]
-    th = geom.angles[p, q]
-    jp_m, jp_e = specfun.bessel_j_seq_scaled(N, k * a_p)
-    jq_m, jq_e = specfun.bessel_j_seq_scaled(N, k * a_q)
-    hd_m, hd_e = specfun.hankel1_seq_scaled(2 * N, k * d)
-    diff = m[:, None] - m[None, :]
-    ad = np.abs(diff)
-    # parity signs: J_{-|m|} = (-1)^m J_{|m|}, H_{-|mu|} = (-1)^mu H_{|mu|}
-    srow = np.where(m < 0, _parity(m), 1.0)
-    scol = np.where(m < 0, _parity(m), 1.0)
-    sdiff = np.where(diff < 0, _parity(diff), 1.0)
-    mant = (srow[:, None] * scol[None, :] * sdiff) \
-        * jp_m[am][:, None] * jq_m[am][None, :] * hd_m[ad]
-    exp2 = jp_e[am][:, None] + jq_e[am][None, :] + hd_e[ad]
-    vals = specfun.scaled_to_float(mant, exp2)
-    phase = np.exp(1j * (-diff) * th)
-    return (0.5j * np.pi * np.sqrt(a_p * a_q)) * vals * phase
+class _ModeTables(NamedTuple):
+    """Scaled (mant, exp2) Bessel tables over signed orders, one column per
+    argument; each is one batched specfun call shared by both assemblies."""
 
-
-def incident_coeffs(scene: Scene, geom: PairGeometry, p: int, N: int) -> np.ndarray:
-    """Fourier coefficients of -u_inc restricted to Gamma_p, modes -N..N.
-
-    Plane wave exp(i k beta.x):   -sqrt(2 pi a_p) e^{i k beta.O_p}
-                                   e^{i m (pi/2 - beta_hat)} J_m(k a_p)
-    Point source (i/4) H_0(k|x-x0|):  -(i pi a_p / 2) J_m(k a_p) H_m(k d_p)
-                                       e^{-i m th_p(x0)} / sqrt(2 pi a_p)
-
-    Both follow from Jacobi-Anger / Graf expansions of the incident trace and
-    are certified against `incident_trace_quadrature`.
-    """
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    m = mode_range(N)
-    am = np.abs(m)
-    jm, je = specfun.bessel_j_seq_scaled(N, k * a_p)
-    if isinstance(scene.incident, PlaneWave):
-        beta_hat = scene.incident.angle
-        beta = np.array([np.cos(beta_hat), np.sin(beta_hat)])
-        center = np.asarray(scene.cylinders[p].center)
-        jvals = specfun.scaled_to_float(jm[am], je[am]) * np.where(m < 0, _parity(m), 1.0)
-        return (-np.sqrt(2.0 * np.pi * a_p)
-                * np.exp(1j * k * float(beta @ center))
-                * np.exp(1j * m * (0.5 * np.pi - beta_hat)) * jvals)
-    d = geom.source_distances[p]
-    th = geom.source_angles[p]
-    hm, he = specfun.hankel1_seq_scaled(N, k * d)
-    prod = specfun.scaled_to_float(jm[am] * hm[am], je[am] + he[am])
-    return (-(0.5j * np.pi * a_p) / np.sqrt(2.0 * np.pi * a_p)
-            * prod * np.exp(-1j * m * th))
-
-
-def precond_diag(scene: Scene, p: int, N: int) -> np.ndarray:
-    """Inverse of the self block: B^pp_mm = 1 / V^pp_mm, modes -N..N.
-
-    Unbounded where J_m(k a_p) = 0 (an interior Dirichlet eigenvalue); the
-    assembled system never forms it, since J_m cancels against the J_m
-    factor of every coupling block and incident coefficient.
-    """
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    ka = k * a_p
-    m = mode_range(N)
-    am = np.abs(m)
-    jm, je = specfun.bessel_j_seq_scaled(N, ka)
-    hm, he = specfun.hankel1_seq_scaled(N, ka)
-    inv = specfun.scaled_to_float(1.0 / (jm[am] * hm[am]), -(je[am] + he[am]))
-    return inv / (0.5j * np.pi * a_p)
+    pairs: list            # ordered pairs (p, q), p != q: the h_pair columns
+    j: tuple               # J_m(k a_p), m = -N..N
+    h: tuple               # H_m(k a_p), m = -N..N
+    h_pair: tuple | None   # H_mu(k d_pq), mu = -2N..2N; None without pairs
+    h_src: tuple | None    # H_m(k d_p,x0), m = -N..N; point source only
 
 
 def _signed_orders(mant: np.ndarray, exp2: np.ndarray, orders: np.ndarray):
     """Rows of a scaled (order, argument) table for signed orders, by
     J_{-n} = (-1)^n J_n and H_{-n} = (-1)^n H_n."""
-    sign = np.where(orders < 0, _parity(orders), 1.0)
+    sign = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
     absolute = np.abs(orders)
     return mant[absolute] * sign[:, None], exp2[absolute]
+
+
+def _mode_tables(scene: Scene, N: int, geom: PairGeometry) -> _ModeTables:
+    """The tables both assemblies need at truncation N, one call each."""
+    M = scene.n_cylinders
+    k = scene.wavenumber
+    ka = k * scene.radii()
+    m = mode_range(N)
+    pairs = [(p, q) for p in range(M) for q in range(M) if p != q]
+    h = _signed_orders(*specfun.hankel1_grid_scaled(N, ka), m)
+    j = _signed_orders(*specfun.bessel_j_grid_scaled(N, ka), m)
+    h_pair = None
+    if pairs:
+        h_pair = _signed_orders(*specfun.hankel1_grid_scaled(
+            2 * N, k * np.array([geom.distances[p, q] for p, q in pairs])),
+            mode_range(2 * N))
+    h_src = None
+    if isinstance(scene.incident, PointSource):
+        h_src = _signed_orders(*specfun.hankel1_grid_scaled(
+            N, k * geom.source_distances), m)
+    return _ModeTables(pairs, j, h, h_pair, h_src)
+
+
+def _fill_pair_blocks(matrix: np.ndarray, t: _ModeTables, geom: PairGeometry,
+                      N: int, row: tuple, divide: bool,
+                      weight: np.ndarray) -> None:
+    """Write every coupling block (p != q) of `matrix`:
+
+      weight[p, q] R_m^p H_{m-n}(k d_pq) J_n(k a_q) e^{i (n-m) th_pq},
+
+    with R = row, or 1/row if `divide`, combined in scaled space so that only
+    the finished entry is converted to a double.
+    """
+    if not t.pairs:
+        return
+    b = 2 * N + 1
+    m = mode_range(N)
+    hd_m, hd_e = t.h_pair
+    jq_m, jq_e = t.j
+    row_m, row_e = row
+    mant_op, exp_op = (np.divide, np.subtract) if divide \
+        else (np.multiply, np.add)
+    index = m[:, None] - m[None, :] + 2 * N     # row of H_{m-n} in h_pair
+    phase_arg = 1j * (m[None, :] - m[:, None])   # i (n - m)
+    # each block is built in these contiguous buffers and copied in; a ufunc
+    # on a strided view of the matrix, a buffered np.take (hence 'clip': the
+    # rows are in range) or a block-sized temporary would each allocate a
+    # block again while the matrix is alive, raising the memory peak
+    blk = np.empty((b, b), dtype=np.complex128)
+    phase = np.empty((b, b), dtype=np.complex128)
+    exp2 = np.empty((b, b), dtype=np.int64)
+    with np.errstate(over="raise"):
+        for i, (p, q) in enumerate(t.pairs):
+            np.take(hd_m[:, i], index, out=blk, mode="clip")
+            blk *= jq_m[:, q]
+            mant_op(blk, row_m[:, p][:, None], out=blk)
+            np.take(hd_e[:, i], index, out=exp2, mode="clip")
+            exp2 += jq_e[:, q]
+            exp_op(exp2, row_e[:, p][:, None], out=exp2)
+            np.ldexp(blk.real, exp2, out=blk.real)
+            np.ldexp(blk.imag, exp2, out=blk.imag)
+            blk *= weight[p, q]
+            np.multiply(phase_arg, geom.angles[p, q], out=phase)
+            blk *= np.exp(phase, out=phase)
+            matrix[p * b:(p + 1) * b, q * b:(q + 1) * b] = blk
 
 
 def _check_dense_dim(M: int, N: int) -> int:
@@ -275,6 +273,15 @@ def _check_dense_dim(M: int, N: int) -> int:
         raise CapabilityError(
             f"dense system of dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     return dim
+
+
+def _plane_wave_phase(scene: Scene, N: int) -> tuple:
+    """Rows e^{i m (pi/2 - beta_hat)}, columns e^{i k beta.O_p}: the phases
+    shared by both plane-wave right-hand sides."""
+    beta_hat = scene.incident.angle
+    beta = np.array([np.cos(beta_hat), np.sin(beta_hat)])
+    return (np.exp(1j * scene.wavenumber * (scene.centers() @ beta)),
+            np.exp(1j * mode_range(N) * (0.5 * np.pi - beta_hat))[:, None])
 
 
 def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
@@ -289,87 +296,87 @@ def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
       g^p_m   = -(H_m(k d_p) / H_m(k a_p)) e^{-i m th_p(x0)}
                 / sqrt(2 pi a_p)                                  (point source)
 
-    These are B^pp V^pq and B^pp f^p with the factors of `v_block`,
-    `incident_coeffs` and `precond_diag` cancelled.  Every Bessel factor
-    comes from one batched table per argument set (radii, pair distances,
-    source distances), and the J/H ratios are combined in scaled space, so
-    entries come out O(1) even when both factors are far outside the double
-    range.  Returns (BlockOperator, CoefficientVector); with a single
-    cylinder the operator is exactly the identity and g is the whole
-    solution.
+    These are B^pp V^pq and B^pp f^p of `assemble_raw` with the J_m(k a_p)
+    factors cancelled, taken from the same tables.  The J/H ratios are
+    combined in scaled space, so entries come out O(1) even when both factors
+    are far outside the double range.  Returns (BlockOperator,
+    CoefficientVector); with a single cylinder the operator is exactly the
+    identity and g is the whole solution.
     """
     M = scene.n_cylinders
-    limit = specfun.ORDER_CAP // 2
-    if N > limit:
+    if N > TRUNCATION_CAP:
         raise CapabilityError(
-            f"truncation N = {N} exceeds the limit N <= {limit}: the "
-            f"couplings need H_{{2N}}, and orders are capped at "
+            f"truncation N = {N} exceeds the limit N <= {TRUNCATION_CAP}: "
+            f"the couplings need H_{{2N}}, and orders are capped at "
             f"{specfun.ORDER_CAP}")
     dim = _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
-    k = scene.wavenumber
     radii = scene.radii()
-    b = 2 * N + 1
     m = mode_range(N)
-    pairs = [(p, q) for p in range(M) for q in range(M) if p != q]
-    mu = mode_range(2 * N)
-    hp_m, hp_e = _signed_orders(*specfun.hankel1_grid_scaled(N, k * radii), m)
-    jq_m, jq_e = _signed_orders(*specfun.bessel_j_grid_scaled(N, k * radii), m)
-    hd_m, hd_e = _signed_orders(*specfun.hankel1_grid_scaled(
-        2 * N, k * np.array([geom.distances[p, q] for p, q in pairs])), mu)
+    t = _mode_tables(scene, N, geom)
+    hp_m, hp_e = t.h
 
     if isinstance(scene.incident, PlaneWave):
-        beta_hat = scene.incident.angle
-        beta = np.array([np.cos(beta_hat), np.sin(beta_hat)])
+        sites, modes = _plane_wave_phase(scene, N)
         inv_h = specfun.scaled_to_float(1.0 / hp_m, -hp_e)
         rhs = (-(2.0 * np.sqrt(2.0)) / (1j * np.sqrt(np.pi * radii))
-               * np.exp(1j * k * (scene.centers() @ beta))
-               * np.exp(1j * m * (0.5 * np.pi - beta_hat))[:, None] * inv_h).T
+               * sites * modes * inv_h).T
     else:
-        hs_m, hs_e = _signed_orders(*specfun.hankel1_grid_scaled(
-            N, k * geom.source_distances), m)
+        hs_m, hs_e = t.h_src
         ratio = specfun.scaled_to_float(hs_m / hp_m, hs_e - hp_e)
         rhs = (-ratio * np.exp(-1j * m[:, None] * geom.source_angles)
                / np.sqrt(2.0 * np.pi * radii)).T
 
-    row = m[:, None] - m[None, :] + 2 * N         # row of H_{m-n} in hd_m
-    phase_arg = 1j * (m[None, :] - m[:, None])     # i (n - m)
-    # each block is built in these contiguous buffers and copied in; a ufunc
-    # on a strided view of the matrix, a buffered np.take (hence 'clip': the
-    # rows are in range) or a block-sized temporary would each allocate a
-    # block again while the matrix is alive, raising the memory peak
-    blk = np.empty((b, b), dtype=np.complex128)
-    phase = np.empty((b, b), dtype=np.complex128)
-    exp2 = np.empty((b, b), dtype=np.int64)
     matrix = np.eye(dim, dtype=np.complex128)
-    with np.errstate(over="raise"):
-        for i, (p, q) in enumerate(pairs):
-            np.take(hd_m[:, i], row, out=blk, mode="clip")
-            blk *= jq_m[:, q]
-            blk /= hp_m[:, p][:, None]
-            np.take(hd_e[:, i], row, out=exp2, mode="clip")
-            exp2 += jq_e[:, q]
-            exp2 -= hp_e[:, p][:, None]
-            np.ldexp(blk.real, exp2, out=blk.real)
-            np.ldexp(blk.imag, exp2, out=blk.imag)
-            blk *= np.sqrt(radii[q] / radii[p])
-            np.multiply(phase_arg, geom.angles[p, q], out=phase)
-            blk *= np.exp(phase, out=phase)
-            matrix[p * b:(p + 1) * b, q * b:(q + 1) * b] = blk
+    _fill_pair_blocks(matrix, t, geom, N, t.h, divide=True,
+                      weight=np.sqrt(radii[None, :] / radii[:, None]))
     return BlockOperator(M, N, matrix), CoefficientVector(rhs)
 
 
 def assemble_raw(scene: Scene, N: int, geom: PairGeometry | None = None):
-    """Unpreconditioned system (V, f); mainly for certification and tests."""
+    """Unpreconditioned system (V, f) at truncation N; the quadrature
+    references certify these entries.
+
+      V^pp_mm = (i pi a_p / 2) J_m(k a_p) H_m(k a_p)
+      V^pq_mn = (i pi sqrt(a_p a_q) / 2)
+                J_m(k a_p) H_{m-n}(k d_pq) e^{i (n-m) th_pq} J_n(k a_q)
+      f^p_m   = -sqrt(2 pi a_p) e^{i k beta.O_p}
+                e^{i m (pi/2 - beta_hat)} J_m(k a_p)              (plane wave)
+      f^p_m   = -(i pi a_p / 2) J_m(k a_p) H_m(k d_p) e^{-i m th_p(x0)}
+                / sqrt(2 pi a_p)                                  (point source)
+
+    Both follow from Graf / Jacobi-Anger expansions.  V^pp vanishes where
+    J_m(k a_p) = 0 (an interior Dirichlet eigenvalue); `assemble_system`
+    never divides by it.  Only the couplings need H_{2N}, so a single
+    cylinder assembles up to N = specfun.ORDER_CAP.
+    """
     M = scene.n_cylinders
-    _check_dense_dim(M, N)
+    dim = _check_dense_dim(M, N)
     if geom is None:
         geom = pairwise_geometry(scene)
-    V = np.block([[v_block(scene, geom, p, q, N) for q in range(M)]
-                  for p in range(M)])
-    rhs = np.stack([incident_coeffs(scene, geom, p, N) for p in range(M)])
-    return BlockOperator(M, N, V), CoefficientVector(rhs)
+    radii = scene.radii()
+    m = mode_range(N)
+    t = _mode_tables(scene, N, geom)
+    j_m, j_e = t.j
+    h_m, h_e = t.h
+
+    if isinstance(scene.incident, PlaneWave):
+        sites, modes = _plane_wave_phase(scene, N)
+        rhs = (-np.sqrt(2.0 * np.pi * radii) * sites * modes
+               * specfun.scaled_to_float(j_m, j_e)).T
+    else:
+        hs_m, hs_e = t.h_src
+        prod = specfun.scaled_to_float(j_m * hs_m, j_e + hs_e)
+        rhs = (-(0.5j * np.pi * radii) / np.sqrt(2.0 * np.pi * radii)
+               * prod * np.exp(-1j * m[:, None] * geom.source_angles)).T
+
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    self_vals = specfun.scaled_to_float(j_m * h_m, j_e + h_e)
+    np.fill_diagonal(matrix, ((0.5j * np.pi * radii) * self_vals).T.reshape(-1))
+    _fill_pair_blocks(matrix, t, geom, N, t.j, divide=False,
+                      weight=0.5j * np.pi * np.sqrt(np.outer(radii, radii)))
+    return BlockOperator(M, N, matrix), CoefficientVector(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +391,14 @@ def _kress_log_weights(n_half: int) -> np.ndarray:
     trigonometric polynomials f of degree < n_half.
     """
     n2 = 2 * n_half
-    t = 2.0 * np.pi * np.arange(n2) / n2
-    diff = t[:, None] - t[None, :]
-    r = np.zeros((n2, n2))
-    for ell in range(1, n_half):
-        r -= (2.0 * np.pi / n_half) / ell * np.cos(ell * diff)
-    r -= (np.pi / n_half ** 2) * np.cos(n_half * diff)
-    return r
+    ell = np.arange(1, n_half)
+    lag = np.arange(n2)
+    # R[i, j] depends only on the lag (i - j) mod 2n: sum the series once
+    # per lag, at cosine arguments that are exact multiples of 2 pi / 2n
+    cosines = np.cos((2.0 * np.pi / n2) * (np.outer(ell, lag) % n2))
+    row = (-(2.0 * np.pi / n_half) / ell) @ cosines \
+        - (np.pi / n_half ** 2) * np.where(lag % 2, -1.0, 1.0)
+    return row[(lag[:, None] - lag[None, :]) % n2]
 
 
 def single_layer_pairing_quadrature(scene: Scene, p: int, q: int, m: int, n: int,
@@ -451,7 +459,7 @@ def pairing_block_quadrature(scene: Scene, p: int, q: int, N: int,
 
 def incident_trace_quadrature(scene: Scene, p: int, m: int,
                               n_quad: int = 512) -> complex:
-    """Reference for incident_coeffs: -int u_inc conj(b_m^p) via trapezoid."""
+    """Reference for f of assemble_raw: -int u_inc conj(b_m^p), trapezoid."""
     k = scene.wavenumber
     a_p = scene.cylinders[p].radius
     c = np.asarray(scene.cylinders[p].center)

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import analysis, field, presets, scene as scene_mod, solver
-from .assembly import NORM_L0, NORM_LHALF, assemble_system, dump_system
+from .assembly import (NORM_L0, NORM_LHALF, TRUNCATION_CAP, assemble_system,
+                       dump_system)
 from .errors import (CapabilityError, InsufficientPointsError,
                      InteriorPointError, NonConvergenceError,
                      SceneValidationError, SingularSystemError)
@@ -140,6 +141,13 @@ def _cmd_sweep(args) -> int:
     if args.n_max < args.n_min:
         print("error: --n-max must be >= --n-min", file=sys.stderr)
         return EXIT_VALIDATION
+    margin = analysis.REFERENCE_MARGIN
+    if args.n_max + margin > TRUNCATION_CAP:
+        raise CapabilityError(
+            f"--n-max {args.n_max} exceeds the limit --n-max <= "
+            f"{TRUNCATION_CAP - margin}: the reference solve runs at "
+            f"N = {args.n_max + margin} (n-max + {margin}), and "
+            f"N <= {TRUNCATION_CAP}")
     ks = args.k if args.k else [sc.wavenumber]
     status = EXIT_OK
     for k in ks:
@@ -242,12 +250,12 @@ def _cmd_selftest(args) -> int:
     check("wronskian J_{m+1} Y_m - J_m Y_{m+1} = 2/(pi x)", dev, 1e-12)
 
     s = presets.preset_scene("moderate", wavenumber=1.3)
-    from .assembly import pairing_block_quadrature, v_block
-    geom = scene_mod.pairwise_geometry(s)
+    from .assembly import assemble_raw, pairing_block_quadrature
+    blocks = assemble_raw(s, 6)[0].matrix.reshape(3, 13, 3, 13)
     dev = 0.0
     for p in range(3):
         for q in range(3):
-            closed = v_block(s, geom, p, q, 6)
+            closed = blocks[p, :, q, :]
             quad = pairing_block_quadrature(s, p, q, 6, n_quad=384)
             dev = max(dev, float(np.max(np.abs(closed - quad))))
     check("coupling closed form vs quadrature", dev, 1e-8)

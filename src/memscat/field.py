@@ -178,9 +178,10 @@ def far_field_amplitude(scene: Scene, phi: CoefficientVector, angles) -> np.ndar
     xhat = np.stack([np.cos(th), np.sin(th)], axis=1)
     out = np.zeros(th.size, dtype=np.complex128)
     root = np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
+    jall = specfun.scaled_to_float(
+        *specfun.bessel_j_grid_scaled(N, k * scene.radii()))
     for p, cyl in enumerate(scene.cylinders):
-        jm, je = specfun.bessel_j_seq_scaled(N, k * cyl.radius)
-        j = specfun.scaled_to_float(jm, je)
+        j = jall[:, p]
         carrier = np.exp(-1j * k * (xhat @ np.asarray(cyl.center)))
         pref = 0.25j * np.sqrt(2.0 * np.pi * cyl.radius) * root
         acc = phi.get(p, 0) * j[0] * np.ones_like(th, dtype=np.complex128)

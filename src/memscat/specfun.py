@@ -1,5 +1,5 @@
-"""Cylinder Bessel functions with an extended exponent range, plus two
-hypergeometric helpers used by the truncation-bound series.
+"""Cylinder Bessel functions with an extended exponent range, plus the
+hypergeometric helper used by the truncation-bound series.
 
 Why not scipy.special alone: the multipole blocks need J_m and H_m^(1) up to
 order 200 at arguments as small as k*a ~ 1e-3, where J underflows (J_200(0.3)
@@ -222,65 +222,30 @@ def hankel1_grid_scaled(m_max: int, x):
 
 
 # ---------------------------------------------------------------------------
-# single-argument conveniences
+# single values (the reference checks call these)
 # ---------------------------------------------------------------------------
 
-def bessel_j_seq_scaled(m_max: int, x: float):
-    """Scaled (mant, exp2) arrays of J_0..J_{m_max} at a scalar argument."""
-    mant, exp2 = bessel_j_grid_scaled(m_max, float(x))
-    return mant[:, 0], exp2[:, 0]
-
-
-def bessel_y_seq_scaled(m_max: int, x: float):
-    """Scaled (mant, exp2) arrays of Y_0..Y_{m_max} at a scalar argument."""
-    mant, exp2 = bessel_y_grid_scaled(m_max, float(x))
-    return mant[:, 0], exp2[:, 0]
-
-
-def hankel1_seq_scaled(m_max: int, x: float):
-    """Scaled (complex mant, exp2) arrays of H_0^(1)..H_{m_max}^(1)."""
-    mant, exp2 = hankel1_grid_scaled(m_max, float(x))
-    return mant[:, 0], exp2[:, 0]
-
-
-def hankel1_seq(m_max: int, x: float) -> np.ndarray:
-    """Plain complex H_0^(1)(x)..H_{m_max}^(1)(x).
-
-    Raises OverflowError when the highest orders leave the double range;
-    use the scaled variant in that regime.
-    """
-    mant, exp2 = hankel1_seq_scaled(m_max, x)
-    return scaled_to_float(mant, exp2)
-
-
-def _parity_sign(m: int) -> float:
-    return -1.0 if (m % 2) else 1.0
+def _single(grid, m: int, x: float) -> float:
+    """C_m(x) from one grid call; negative orders by C_{-m} = (-1)^m C_m."""
+    am = abs(int(m))
+    mant, exp2 = grid(am, float(x))
+    v = scaled_to_float(mant[am, 0], exp2[am, 0])
+    return -v if m < 0 and am % 2 else v
 
 
 def bessel_j(m: int, x: float) -> float:
     """J_m(x) as a plain float; negative orders via J_{-m} = (-1)^m J_m."""
-    am = abs(int(m))
-    mant, exp2 = bessel_j_seq_scaled(am, x)
-    v = float(scaled_to_float(mant[am], exp2[am]))
-    return _parity_sign(am) * v if m < 0 else v
+    return float(_single(bessel_j_grid_scaled, m, x))
 
 
 def bessel_y(m: int, x: float) -> float:
     """Y_m(x) as a plain float; raises OverflowError out of double range."""
-    am = abs(int(m))
-    mant, exp2 = bessel_y_seq_scaled(am, x)
-    v = float(scaled_to_float(mant[am], exp2[am]))
-    return _parity_sign(am) * v if m < 0 else v
+    return float(_single(bessel_y_grid_scaled, m, x))
 
 
 def hankel1(m: int, x: float) -> complex:
     """H_m^(1)(x) = complex(J_m(x), Y_m(x)); parity rule for negative orders."""
-    am = abs(int(m))
-    jm, je = bessel_j_seq_scaled(am, x)
-    ym, ye = bessel_y_seq_scaled(am, x)
-    v = complex(float(scaled_to_float(jm[am], je[am])),
-                float(scaled_to_float(ym[am], ye[am])))
-    return _parity_sign(am) * v if m < 0 else v
+    return complex(bessel_j(m, x), bessel_y(m, x))
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +281,3 @@ def hyp2f1_peaked(m: int, z: float) -> float:
     if not np.isfinite(out):
         raise OverflowError("2F1 value exceeds double-precision range")
     return float(out)
-
-
-def hyp0f3_ones(x: float) -> float:
-    """0F3(; 1, 1, 1; x) = sum_n x^n / (n!)^4 for x >= 0.
-
-    Grows like exp(4 x^{1/4}); raises OverflowError past the double range.
-    """
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    s = 1.0
-    t = 1.0
-    n = 0
-    while True:
-        n += 1
-        t *= x / float(n) ** 4
-        s += t
-        if not np.isfinite(s):
-            raise OverflowError("0F3 value exceeds double-precision range")
-        if t < 1e-17 * s or n > 2000:
-            break
-    return float(s)

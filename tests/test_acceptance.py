@@ -26,12 +26,11 @@ from memscat import (
 )
 from memscat.analysis import onset_truncation, sigma_series_raw, theorem_slack
 from memscat.assembly import (
+    assemble_raw,
     pairing_block_quadrature,
     single_layer_pairing_quadrature,
-    v_block,
 )
 from memscat.field import interior_mask, single_layer_field_quadrature
-from memscat.scene import pairwise_geometry
 from memscat import specfun
 
 TRUNCATIONS = range(1, 26)
@@ -123,18 +122,17 @@ def test_criterion_05_closed_form_assembly_is_certified():
     worst_diag = 0.0
     for k in (0.6, 3.0):
         sc = preset_scene("close", wavenumber=k)
-        geom = pairwise_geometry(sc)
+        blocks = assemble_raw(sc, 10)[0].matrix.reshape(3, 21, 3, 21)
         for p in range(3):
             for q in range(3):
+                V = blocks[p, :, q, :]
                 if p == q:
-                    V = v_block(sc, geom, p, p, 10)
                     for m in (-10, -4, 0, 3, 10):
                         qv = single_layer_pairing_quadrature(sc, p, p, m, m,
                                                              n_quad=512)
                         worst_diag = max(worst_diag,
                                          abs(V[m + 10, m + 10] - qv))
                 else:
-                    V = v_block(sc, geom, p, q, 10)
                     Q = pairing_block_quadrature(sc, p, q, 10, n_quad=512)
                     worst_off = max(worst_off, float(np.max(np.abs(V - Q))))
     ok = worst_off < 1e-8 and worst_diag < 1e-6

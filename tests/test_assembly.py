@@ -24,17 +24,15 @@ from memscat import (
     solve,
 )
 from memscat.assembly import (
+    _kress_log_weights,
     assemble_raw,
     dump_system,
-    incident_coeffs,
     incident_trace_quadrature,
     load_system_dump,
     mode_range,
     mode_weights,
     pairing_block_quadrature,
-    precond_diag,
     single_layer_pairing_quadrature,
-    v_block,
 )
 from memscat.scene import pairwise_geometry
 from memscat import specfun
@@ -60,26 +58,40 @@ def pair_block(op, p, q):
     return op.matrix[p * b:(p + 1) * b, q * b:(q + 1) * b]
 
 
+def raw_block(scene, p, q, N):
+    """The (p, q) block of V from assemble_raw."""
+    return pair_block(assemble_raw(scene, N)[0], p, q)
+
+
+def precond(scene, p, N):
+    """B^pp = 1 / diag(V^pp), the diagonal preconditioner."""
+    return 1.0 / np.diag(raw_block(scene, p, p, N))
+
+
+def incident(scene, p, N):
+    """f^p from assemble_raw."""
+    return assemble_raw(scene, N)[1].data[p]
+
+
 class TestCouplingBlocks:
     def test_self_block_diagonal_value(self, unit_scene):
-        V = v_block(unit_scene, pairwise_geometry(unit_scene), 0, 0, 2)
+        V = raw_block(unit_scene, 0, 0, 2)
         assert V[2, 2] == pytest.approx(V00_UNIT, rel=1e-13)
 
     def test_self_block_is_diagonal(self, unit_scene):
-        V = v_block(unit_scene, pairwise_geometry(unit_scene), 0, 0, 3)
+        V = raw_block(unit_scene, 0, 0, 3)
         off = V - np.diag(np.diag(V))
         assert np.max(np.abs(off)) == 0.0
 
     def test_against_quadrature_entrywise(self, close_scene):
         # Independent route: Kress-quadrature pairings of the single-layer
         # kernel against the Fourier basis.
-        geom = pairwise_geometry(close_scene)
-        V = v_block(close_scene, geom, 0, 1, 6)
+        V = raw_block(close_scene, 0, 1, 6)
         Q = pairing_block_quadrature(close_scene, 0, 1, 6, n_quad=384)
         assert np.max(np.abs(V - Q)) < 1e-8
 
     def test_diagonal_against_kress_quadrature(self, unit_scene):
-        V = v_block(unit_scene, pairwise_geometry(unit_scene), 0, 0, 4)
+        V = raw_block(unit_scene, 0, 0, 4)
         for m in (-3, 0, 2):
             q = single_layer_pairing_quadrature(unit_scene, 0, 0, m, m,
                                                 n_quad=256)
@@ -90,73 +102,103 @@ class TestCouplingBlocks:
         Q2 = pairing_block_quadrature(close_scene, 1, 0, 5, n_quad=384)
         assert np.max(np.abs(Q1 - Q2)) < 1e-10
 
-    def test_block_nesting_across_truncation(self, moderate_scene,
-                                             moderate_geom):
-        V8 = v_block(moderate_scene, moderate_geom, 0, 1, 8)
-        V13 = v_block(moderate_scene, moderate_geom, 0, 1, 13)
+    def test_block_nesting_across_truncation(self, moderate_scene):
+        V8 = raw_block(moderate_scene, 0, 1, 8)
+        V13 = raw_block(moderate_scene, 0, 1, 13)
         dev = np.max(np.abs(V8 - V13[5:-5, 5:-5]))
         assert dev < 1e-13 * np.max(np.abs(V8))
 
 
+def kress_weights_by_loop(n_half):
+    """The Kress weights summed over the full (2n, 2n) matrix of
+    differences, one cosine pass per term: the direct form of the rule."""
+    n2 = 2 * n_half
+    t = 2.0 * np.pi * np.arange(n2) / n2
+    diff = t[:, None] - t[None, :]
+    r = np.zeros((n2, n2))
+    for ell in range(1, n_half):
+        r -= (2.0 * np.pi / n_half) / ell * np.cos(ell * diff)
+    r -= (np.pi / n_half ** 2) * np.cos(n_half * diff)
+    return r
+
+
+class TestKressWeights:
+    def test_integrates_log_kernel_modes(self):
+        # int_0^{2 pi} e^{i m t} log(4 sin^2((s - t)/2)) dt
+        #   = -(2 pi / |m|) e^{i m s}  (0 for m = 0),
+        # and the rule is exact for |m| < n_half
+        n_half = 32
+        R = _kress_log_weights(n_half)
+        s = 2.0 * np.pi * np.arange(2 * n_half) / (2 * n_half)
+        worst = 0.0
+        for m in range(1 - n_half, n_half):
+            mode = np.exp(1j * m * s)
+            exact = 0.0 if m == 0 else -(2.0 * np.pi / abs(m)) * mode
+            worst = max(worst, np.max(np.abs(R @ mode - exact)))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("n_half", [2, 5, 16, 32])
+    def test_matches_direct_sum(self, n_half):
+        R = _kress_log_weights(n_half)
+        ref = kress_weights_by_loop(n_half)
+        assert np.max(np.abs(R - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestPreconditioner:
     def test_corner_value(self, unit_scene):
-        B = precond_diag(unit_scene, 0, 2)
+        B = precond(unit_scene, 0, 2)
         assert B[2] == pytest.approx(B00_UNIT, rel=1e-13)
-
-    def test_inverts_self_block(self, unit_scene):
-        geom = pairwise_geometry(unit_scene)
-        V = v_block(unit_scene, geom, 0, 0, 6)
-        B = precond_diag(unit_scene, 0, 6)
-        assert np.max(np.abs(B * np.diag(V) - 1.0)) < 1e-14
 
     def test_large_order_magnitude(self, unit_scene):
         # (i pi a/2) J_m H_m ~ a/(2m), so |B_mm| a/(2m) -> 1.
-        B = precond_diag(unit_scene, 0, 60)
+        B = precond(unit_scene, 0, 60)
         assert abs(B[-1]) / (2 * 60) == pytest.approx(1.0, abs=0.05)
 
 
 class TestIncidentCoefficients:
     def test_plane_wave_value_at_origin(self, unit_scene):
-        f = incident_coeffs(unit_scene, pairwise_geometry(unit_scene), 0, 3)
+        f = incident(unit_scene, 0, 3)
         assert f[3] == pytest.approx(F0_PLANE_UNIT, rel=1e-13)
         assert abs(f[3].imag) < 1e-16
 
     def test_point_source_mirror_symmetry(self):
         # Source on the axis through the center: |f_{-m}| = |f_m|.
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.9, PointSource((5.0, 0.0)))
-        f = incident_coeffs(sc, pairwise_geometry(sc), 0, 6)
+        f = incident(sc, 0, 6)
         for m in range(1, 7):
             assert abs(f[6 + m]) == pytest.approx(abs(f[6 - m]), rel=1e-12)
 
-    def test_against_trace_quadrature(self, moderate_scene, moderate_geom):
-        f = incident_coeffs(moderate_scene, moderate_geom, 1, 5)
+    def test_against_trace_quadrature(self, moderate_scene):
+        f = incident(moderate_scene, 1, 5)
         for m in (-5, -1, 0, 2, 4):
             q = incident_trace_quadrature(moderate_scene, 1, m, n_quad=512)
             assert abs(f[5 + m] - q) < 1e-8
 
     def test_plane_wave_against_trace_quadrature(self, moderate_scene):
         sc = Scene(moderate_scene.cylinders, 0.6, PlaneWave(0.7))
-        f = incident_coeffs(sc, pairwise_geometry(sc), 2, 4)
+        f = incident(sc, 2, 4)
         for m in (-3, 0, 3):
             q = incident_trace_quadrature(sc, 2, m, n_quad=512)
             assert abs(f[4 + m] - q) < 1e-8
 
 
 class TestCompositions:
-    def test_a_equals_preconditioned_v(self, moderate_scene, moderate_geom):
+    def test_a_equals_preconditioned_v(self, moderate_scene):
         op, _ = assemble_system(moderate_scene, 8)
+        opV, _ = assemble_raw(moderate_scene, 8)
         for p, q in ((0, 1), (1, 2), (2, 0)):
-            V = v_block(moderate_scene, moderate_geom, p, q, 8)
-            B = precond_diag(moderate_scene, p, 8)
+            V = pair_block(opV, p, q)
+            B = 1.0 / np.diag(pair_block(opV, p, p))
             A = pair_block(op, p, q)
             dev = np.max(np.abs(B[:, None] * V - A)) / np.max(np.abs(A))
             assert dev < 1e-12
 
-    def test_g_equals_preconditioned_f(self, moderate_scene, moderate_geom):
+    def test_g_equals_preconditioned_f(self, moderate_scene):
         _, rhs = assemble_system(moderate_scene, 8)
+        opV, f_all = assemble_raw(moderate_scene, 8)
         for p in range(3):
-            f = incident_coeffs(moderate_scene, moderate_geom, p, 8)
-            B = precond_diag(moderate_scene, p, 8)
+            f = f_all.data[p]
+            B = 1.0 / np.diag(pair_block(opV, p, p))
             g = rhs.data[p]
             assert np.max(np.abs(B * f - g)) / np.max(np.abs(g)) < 1e-12
 

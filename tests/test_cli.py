@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,13 @@ class TestSweep:
         assert "N = 101" in err and "N <= 100" in err
         assert not (tmp_path / "far_sweep_k0.6.csv").exists()
 
+    def test_n_max_limit_is_named(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "far", "--n-max", "96",
+                           "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "--n-max 96" in err and "--n-max <= 95" in err
+        assert not (tmp_path / "far_sweep_k0.6.csv").exists()
+
     def test_bad_range_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "far", "--n-min", "9",
                            "--n-max", "3", "-o", str(tmp_path))
@@ -268,9 +276,14 @@ class TestSelftest:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
+        # the package's src first, so an uninstalled checkout runs too
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "memscat.cli", "validate", "far"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == EXIT_OK
         assert "scene ok" in proc.stdout
 

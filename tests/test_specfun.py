@@ -1,4 +1,4 @@
-"""Tests for the scaled Bessel/Hankel stack and hypergeometric helpers.
+"""Tests for the scaled Bessel/Hankel stack and the hypergeometric helper.
 
 Reference values were computed with 40-digit arbitrary-precision arithmetic
 and frozen here as literals; the module under test never sees them until the
@@ -134,10 +134,11 @@ def check_wronskian(orders=range(50), args=(0.5, 1.0, 2.0, 10.0, 50.0),
     """J_m Y_{m+1} - J_{m+1} Y_m = -2/(pi x), relative deviation."""
     worst = 0.0
     for x in args:
-        jm, je = specfun.bessel_j_seq_scaled(max(orders) + 1, x)
-        ym, ye = specfun.bessel_y_seq_scaled(max(orders) + 1, x)
-        j = specfun.scaled_to_float(jm, je)
-        y = specfun.scaled_to_float(ym, ye)
+        m_max = max(orders) + 1
+        j = specfun.scaled_to_float(
+            *specfun.bessel_j_grid_scaled(m_max, x))[:, 0]
+        y = specfun.scaled_to_float(
+            *specfun.bessel_y_grid_scaled(m_max, x))[:, 0]
         target = -2.0 / (math.pi * x)
         for m in orders:
             w = j[m] * y[m + 1] - j[m + 1] * y[m]
@@ -151,11 +152,10 @@ def check_recurrence(args=(0.7, 3.0, 25.0, 90.0), m_max: int = 60,
     """C_{m+1} = (2m/x) C_m - C_{m-1} for J, Y and H, scaled to the row size."""
     worst = 0.0
     for x in args:
-        seqs = [
-            specfun.scaled_to_float(*specfun.bessel_j_seq_scaled(m_max, x)),
-            specfun.scaled_to_float(*specfun.bessel_y_seq_scaled(m_max, x)),
-            specfun.scaled_to_float(*specfun.hankel1_seq_scaled(m_max, x)),
-        ]
+        seqs = [specfun.scaled_to_float(*grid(m_max, x))[:, 0]
+                for grid in (specfun.bessel_j_grid_scaled,
+                             specfun.bessel_y_grid_scaled,
+                             specfun.hankel1_grid_scaled)]
         for c in seqs:
             for m in range(1, m_max):
                 res = c[m + 1] - (2.0 * m / x) * c[m] + c[m - 1]
@@ -186,10 +186,10 @@ def check_envelope(args=(1.0, 5.0, 20.0), band: float = 100.0) -> float:
     for x in args:
         m_lo = math.ceil(x) + 5
         m_hi = 100
-        jm, je = specfun.bessel_j_seq_scaled(m_hi, x)
-        hm, he = specfun.hankel1_seq_scaled(m_hi, x)
-        log_j = specfun.scaled_log_abs(jm, je)
-        log_h = specfun.scaled_log_abs(hm, he)
+        log_j = specfun.scaled_log_abs(
+            *specfun.bessel_j_grid_scaled(m_hi, x))[:, 0]
+        log_h = specfun.scaled_log_abs(
+            *specfun.hankel1_grid_scaled(m_hi, x))[:, 0]
         ms = np.arange(m_lo, m_hi + 1, dtype=float)
         growth = ms * (np.log(2.0 * ms) - 1.0 - math.log(x))
         for log_c, sgn in ((log_j[m_lo:], 1.0), (log_h[m_lo:], -1.0)):
@@ -204,8 +204,8 @@ def check_hankel_monotonicity(order_max: int = 30,
                               args=(0.5, 2.0, 10.0)) -> None:
     """|H_{|m-n|}(x)| <= |H_{m+n}(x)| for fixed x: |H_m| grows with order."""
     for x in args:
-        hm, he = specfun.hankel1_seq_scaled(2 * order_max, x)
-        log_h = specfun.scaled_log_abs(hm, he)
+        log_h = specfun.scaled_log_abs(
+            *specfun.hankel1_grid_scaled(2 * order_max, x))[:, 0]
         for m in range(order_max + 1):
             for n in range(order_max + 1):
                 assert log_h[abs(m - n)] <= log_h[m + n] + 1e-12
@@ -271,10 +271,12 @@ class TestIdentities:
 
 class TestScaledSequences:
     def test_seq_matches_point_evaluations(self):
-        for x in (0.8, 12.0, 77.0):
-            h = specfun.hankel1_seq(40, x)
+        xs = (0.8, 12.0, 77.0)
+        h = specfun.scaled_to_float(*specfun.hankel1_grid_scaled(40, xs))
+        for i, x in enumerate(xs):
             for m in (0, 7, 25, 40):
-                assert h[m] == pytest.approx(specfun.hankel1(m, x), rel=1e-12)
+                assert h[m, i] == pytest.approx(specfun.hankel1(m, x),
+                                                rel=1e-12)
 
     def test_scaled_to_float_round_trip(self):
         vals = np.array([1.5e-200, -2.75, 3.25e180])
@@ -283,17 +285,17 @@ class TestScaledSequences:
         assert np.array_equal(back, vals)
 
     def test_scaled_log_abs(self):
-        mant, exp2 = specfun.bessel_j_seq_scaled(100, 3.0)
-        log_j100 = specfun.scaled_log_abs(mant, exp2)[100]
+        mant, exp2 = specfun.bessel_j_grid_scaled(100, 3.0)
+        log_j100 = specfun.scaled_log_abs(mant, exp2)[100, 0]
         assert log_j100 == pytest.approx(math.log(4.2603601811326252e-141),
                                          rel=1e-12)
 
     def test_plain_seq_overflows_loudly(self):
         # H_200(0.5) is far beyond the double range.
+        mant, exp2 = specfun.hankel1_grid_scaled(200, 0.5)
         with pytest.raises(OverflowError):
-            specfun.hankel1_seq(200, 0.5)
-        # The scaled variant represents the same row without complaint.
-        mant, exp2 = specfun.hankel1_seq_scaled(200, 0.5)
+            specfun.scaled_to_float(mant, exp2)
+        # The scaled form represents the same row without complaint.
         assert np.all(np.isfinite(mant))
 
     def test_grid_shape(self):
@@ -321,7 +323,7 @@ class TestDomainAndCaps:
         with pytest.raises(CapabilityError):
             specfun.bessel_j(201, 1.0)
         with pytest.raises(CapabilityError):
-            specfun.hankel1_seq_scaled(201, 1.0)
+            specfun.hankel1_grid_scaled(201, 1.0)
 
     def test_argument_cap(self):
         with pytest.raises(CapabilityError):
@@ -379,23 +381,3 @@ class TestHyp2F1Peaked:
         with pytest.raises(OverflowError):
             specfun.hyp2f1_peaked(150, 0.9)
 
-
-class TestHyp0F3Ones:
-    def test_at_zero(self):
-        assert specfun.hyp0f3_ones(0.0) == 1.0
-
-    def test_reference_value(self):
-        assert specfun.hyp0f3_ones(1.0) == pytest.approx(2.0632746238463152,
-                                                         rel=1e-12)
-
-    def test_growth_stays_under_envelope(self):
-        # 0F3(;1,1,1;x) grows like exp(4 x^{1/4}) up to algebraic factors.
-        for x in (1.0, 1e2, 1e4, 1e6):
-            ratio = specfun.hyp0f3_ones(x) / math.exp(4.0 * x ** 0.25)
-            assert 0.0 < ratio < 1.0
-
-    def test_domain_and_overflow(self):
-        with pytest.raises(ValueError):
-            specfun.hyp0f3_ones(-1.0)
-        with pytest.raises(OverflowError):
-            specfun.hyp0f3_ones(1e250)
