@@ -202,8 +202,34 @@ def _signed_orders(mant: np.ndarray, exp2: np.ndarray, orders: np.ndarray):
     return mant[absolute] * sign[:, None], exp2[absolute]
 
 
+def _check_argument_cap(scene: Scene, geom: PairGeometry) -> None:
+    """Refuse, naming the largest, arguments k a_p, k d_pq and k d_p,x0 of
+    the tables above specfun.ARG_CAP."""
+    k = scene.wavenumber
+    limit = specfun.ARG_CAP
+    ka = k * scene.radii()
+    p = int(np.argmax(ka))
+    if ka[p] > limit:
+        raise CapabilityError(f"cylinder {p + 1}: k a_p = {ka[p]:.6g} "
+                              f"exceeds the argument cap {limit}")
+    kd = k * geom.distances
+    p, q = np.unravel_index(np.argmax(kd), kd.shape)
+    if kd[p, q] > limit:
+        raise CapabilityError(f"cylinders {p + 1} and {q + 1}: k d_pq = "
+                              f"{kd[p, q]:.6g} exceeds the argument cap {limit}")
+    if geom.source_distances is not None:
+        ks = k * geom.source_distances
+        p = int(np.argmax(ks))
+        if ks[p] > limit:
+            raise CapabilityError(f"point source and cylinder {p + 1}: k d_p,x0"
+                                  f" = {ks[p]:.6g} exceeds the argument cap "
+                                  f"{limit}")
+
+
 def _mode_tables(scene: Scene, N: int, geom: PairGeometry) -> _ModeTables:
-    """The tables both assemblies need at truncation N, one call each."""
+    """The tables both assemblies need at truncation N, one call each, after
+    the argument cap is checked."""
+    _check_argument_cap(scene, geom)
     M = scene.n_cylinders
     k = scene.wavenumber
     ka = k * scene.radii()

@@ -191,7 +191,7 @@ def _cmd_field(args) -> int:
     sc, stem = _load_scene(args.scene, args.wavenumber)
     scene_mod.require_valid(sc)
     # the system is dropped once solved, so it is not held through the
-    # field evaluation, which sets this command's memory peak
+    # field evaluation and output, which set this command's memory peak
     res = solver.solve(*assemble_system(sc, args.truncation),
                        backend=args.backend)
     if res.diverged or not res.converged:

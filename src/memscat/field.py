@@ -17,9 +17,21 @@ P_m = H_m(k r_p) / H_m(k a_p).  |H_m| decreases in its argument, so
 range, even where H_m(k r_p) itself does.  P_0 and P_1 come from cephes
 j0/j1/y0/y1 at k r_p, and higher orders from the Hankel recurrence divided
 by H_{m+1}(k a_p).  specfun's scaled tables are used only at the radii, for
-c_m and the ratios s_m = H_m(k a_p) / H_{m+1}(k a_p), so the cost is
-O(points x N) complex arithmetic and each value depends on its own point
-alone.  Points with k r_p > ARG_CAP raise CapabilityError.
+c_m and the ratios s_m = H_m(k a_p) / H_{m+1}(k a_p), once per evaluation,
+so the cost is O(points x N) complex arithmetic.  Points with
+k r_p > ARG_CAP raise CapabilityError.
+
+Points are evaluated, and field CSVs written, in blocks of 8192
+(_BLOCK_POINTS).  8192 complex values are 128 KiB, under numpy's 256 KiB
+threshold for eliding temporaries, so every value takes the same
+out-of-place loops however many points share a call, and each scattered
+value depends on its own point alone, bitwise.  So does a point source's
+incident value; a plane wave's phase comes from a BLAS product
+(pts @ beta) whose rounding can depend on the batch.  A grid costs 33 bytes
+per point (X, Y, the complex values and the interior mask) plus one block's
+working set, about 2 MiB while evaluating and 3 MiB while writing.
+total_field_grid checks the argument cap over all its exterior points
+before it evaluates any block.
 """
 
 from __future__ import annotations
@@ -29,12 +41,15 @@ import scipy.special
 
 from . import specfun
 from .assembly import CoefficientVector
-from .errors import InteriorPointError
+from .errors import CapabilityError, InteriorPointError
 from .scene import PlaneWave, PointSource, Scene
 
 # points with r_p < a_p (1 + this) count as interior for evaluation purposes
 INTERIOR_MARGIN = 1e-9
 BOUNDARY_OFFSET = 1e-6
+# points per block of evaluation and CSV output; 8192 complex values stay
+# under numpy's threshold for eliding temporaries (see the module docstring)
+_BLOCK_POINTS = 8192
 
 
 def _as_points(points) -> np.ndarray:
@@ -77,20 +92,31 @@ def scattered_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
     return _scattered_unchecked(scene, phi, pts)
 
 
-def _scattered_unchecked(scene: Scene, phi: CoefficientVector,
-                         pts: np.ndarray) -> np.ndarray:
-    # P_m = H_m(k r_p) / H_m(k a_p), |P_m| <= 1, by the recurrence
-    #     P_{m+1} = (2m / x) s_m P_m - s_{m-1} s_m P_{m-1},  x = k r_p,
-    # with s_m = H_m(k a_p) / H_{m+1}(k a_p); c_m and s_m are the only
-    # values taken from the scaled tables, once per scene at the radii.
-    k = scene.wavenumber
-    N = phi.truncation
-    ka = k * np.array([cyl.radius for cyl in scene.cylinders])
+def _blocks(n: int):
+    """Slices of at most _BLOCK_POINTS consecutive points covering range(n)."""
+    return [slice(i, i + _BLOCK_POINTS) for i in range(0, n, _BLOCK_POINTS)]
+
+
+def _radius_tables(scene: Scene, N: int):
+    """c_m = J_m(k a_p) H_m(k a_p), s_m = H_m(k a_p) / H_{m+1}(k a_p) and
+    H_0, H_1 at k a_p, one column per cylinder: the only values taken from
+    the scaled tables, once per evaluation."""
+    ka = scene.wavenumber * scene.radii()
     hm, he = specfun.hankel1_grid_scaled(N + 1, ka)
     jm, je = specfun.bessel_j_grid_scaled(N + 1, ka)
-    weight = specfun.scaled_to_float(jm * hm, je + he)
-    step = specfun.scaled_to_float(hm[:-1] / hm[1:], he[:-1] - he[1:])
-    h01 = specfun.scaled_to_float(hm[:2], he[:2])
+    return (specfun.scaled_to_float(jm * hm, je + he),
+            specfun.scaled_to_float(hm[:-1] / hm[1:], he[:-1] - he[1:]),
+            specfun.scaled_to_float(hm[:2], he[:2]))
+
+
+def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
+                     pts: np.ndarray) -> np.ndarray:
+    # P_m = H_m(k r_p) / H_m(k a_p), |P_m| <= 1, by the recurrence
+    #     P_{m+1} = (2m / x) s_m P_m - s_{m-1} s_m P_{m-1},  x = k r_p,
+    # over at most _BLOCK_POINTS points
+    k = scene.wavenumber
+    N = phi.truncation
+    weight, step, h01 = tables
     out = np.zeros(pts.shape[0], dtype=np.complex128)
     for p, cyl in enumerate(scene.cylinders):
         dx = pts[:, 0] - cyl.center[0]
@@ -114,6 +140,15 @@ def _scattered_unchecked(scene: Scene, phi: CoefficientVector,
                                     - (step[m - 1, p] * step[m, p]) * p_prev)
             zm = zm * z
         out += acc
+    return out
+
+
+def _scattered_unchecked(scene: Scene, phi: CoefficientVector,
+                         pts: np.ndarray) -> np.ndarray:
+    tables = _radius_tables(scene, phi.truncation)
+    out = np.empty(pts.shape[0], dtype=np.complex128)
+    for s in _blocks(pts.shape[0]):
+        out[s] = _scattered_block(scene, phi, tables, pts[s])
     return out
 
 
@@ -196,17 +231,44 @@ def far_field_amplitude(scene: Scene, phi: CoefficientVector, angles) -> np.ndar
 def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
                      nx: int, ny: int):
     """Total field on a regular grid; interior samples become nan and are
-    reported through the boolean mask."""
+    reported through the boolean mask.
+
+    The grid is evaluated in blocks of _BLOCK_POINTS points, after a first
+    pass that masks the interior and refuses, before any block is evaluated,
+    exterior points with k r_p > ARG_CAP.
+    """
     xs = np.linspace(xlim[0], xlim[1], nx)
     ys = np.linspace(ylim[0], ylim[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    inside = interior_mask(scene, pts)
-    vals = np.full(pts.shape[0], np.nan + 0j, dtype=np.complex128)
-    if np.any(~inside):
-        ext = pts[~inside]
-        vals[~inside] = (incident_field(scene, ext)
-                         + _scattered_unchecked(scene, phi, ext))
+    x, y = X.ravel(), Y.ravel()
+    inside = np.empty(x.size, dtype=bool)
+    for s in _blocks(x.size):
+        inside[s] = interior_mask(scene, np.stack([x[s], y[s]], axis=1))
+    reach = np.zeros(scene.n_cylinders)     # largest r_p at an exterior point
+    for p, cyl in enumerate(scene.cylinders):
+        # the grid's corners bound r_p, so the points are visited only for a
+        # cylinder that a corner lies beyond the cap from
+        corner = np.hypot(np.max(np.abs(xs - cyl.center[0]), initial=0.0),
+                          np.max(np.abs(ys - cyl.center[1]), initial=0.0))
+        if scene.wavenumber * corner <= specfun.ARG_CAP:
+            continue
+        for s in _blocks(x.size):
+            r = np.hypot(x[s] - cyl.center[0], y[s] - cyl.center[1])
+            reach[p] = max(reach[p], np.max(r, where=~inside[s], initial=0.0))
+    kr = scene.wavenumber * reach
+    p = int(np.argmax(kr))
+    # a non-finite coordinate fails in the blocks, as a non-finite argument
+    if specfun.ARG_CAP < kr[p] < np.inf:
+        raise CapabilityError(
+            f"grid point at k r_p = {kr[p]:.6g} from cylinder {p + 1} exceeds "
+            f"the argument cap {specfun.ARG_CAP}")
+    tables = _radius_tables(scene, phi.truncation)
+    vals = np.full(x.size, np.nan + 0j, dtype=np.complex128)
+    for s in _blocks(x.size):
+        ext = s.start + np.flatnonzero(~inside[s])
+        pts = np.stack([x[ext], y[ext]], axis=1)
+        vals[ext] = (incident_field(scene, pts)
+                     + _scattered_block(scene, phi, tables, pts))
     return X, Y, vals.reshape(ny, nx), inside.reshape(ny, nx)
 
 
@@ -227,16 +289,18 @@ def _split(a: np.ndarray):
 
 def _pow10(k: np.ndarray):
     """10^k as unevaluated double-double pairs (hi, lo), each half the
-    correctly rounded value of an exact rational; computed only for the
-    exponents present in k."""
-    from fractions import Fraction
+    correctly rounded value of an exact rational (Python's int / int is
+    correctly rounded); computed only for the exponents present in k."""
     k0 = int(k.min())
     hi = np.zeros(int(k.max()) - k0 + 1)
     lo = np.zeros_like(hi)
     for i in np.flatnonzero(np.bincount(k - k0)).tolist():
-        exact = Fraction(10) ** (k0 + i)
-        hi[i] = float(exact)
-        lo[i] = float(exact - Fraction(hi[i]))
+        e = k0 + i
+        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        head = num / den
+        a, b = head.as_integer_ratio()
+        # 10^e - head = (num b - a den) / (den b), rounded once
+        hi[i], lo[i] = head, (num * b - a * den) / (den * b)
     return hi[k - k0], lo[k - k0]
 
 
@@ -314,16 +378,23 @@ def write_field_csv(path, X, Y, U, inside) -> None:
     """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles).
 
     Every number is exactly Python's '{:.16e}' text.  It is produced a whole
-    column at a time by `_format_column`, which falls back to
-    '{:.16e}'.format itself wherever its own arithmetic cannot decide a
-    digit, and the rows are written in one call.
+    column of a block of _BLOCK_POINTS rows at a time by `_format_column`,
+    which falls back to '{:.16e}'.format itself wherever its own arithmetic
+    cannot decide a digit, and each block of rows is written in one call.
     """
-    flag = np.ravel(inside).astype(bool)
-    u = np.ravel(U)
+    x, y, u, flags = np.ravel(X), np.ravel(Y), np.ravel(U), np.ravel(inside)
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
+        for s in _blocks(flags.size):
+            fh.write(_csv_rows(x[s], y[s], u[s], flags[s].astype(bool)))
+
+
+def _csv_rows(x, y, u, flag) -> np.ndarray:
+    """The CSV text of one block of rows, as a uint8 array."""
     re = np.where(flag, np.nan, u.real)
     im = np.where(flag, np.nan, u.imag)
     # np.hypot is what abs() of a complex128 scalar computes
-    columns = (X, Y, re, im, np.hypot(re, im))
+    columns = (x, y, re, im, np.hypot(re, im))
     cell = _TEXT_WIDTH + 1
     table = np.zeros((flag.size, cell * len(columns) + 2), dtype=np.uint8)
     for i, column in enumerate(columns):
@@ -331,9 +402,7 @@ def write_field_csv(path, X, Y, U, inside) -> None:
         table[:, (i + 1) * cell - 1] = ord(",")
     table[:, -2] = flag + ord("0")
     table[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
-        fh.write(table[table != 0])
+    return table[table != 0]
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

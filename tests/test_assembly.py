@@ -285,6 +285,28 @@ class TestSystemAssembly:
         with pytest.raises(CapabilityError, match=r"N = 101 .*N <= 100"):
             assemble_system(far_scene, 101)
 
+    @pytest.mark.parametrize("scene, named", [
+        (Scene((Cylinder((0.0, 0.0), 1.0),), 1500.0, PlaneWave(0.0)),
+         "cylinder 1: k a_p = 1500"),
+        # k |O_3 - O_2| = 20 * 78.1 is the largest pair argument
+        (Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((50.0, 0.0), 1.0),
+                Cylinder((0.0, 60.0), 1.0)), 20.0, PlaneWave(0.0)),
+         "cylinders 2 and 3: k d_pq = 1562.05"),
+        (Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((4.0, 0.0), 1.0)), 20.0,
+               PointSource((-60.0, 0.0))),
+         "point source and cylinder 2: k d_p,x0 = 1280"),
+    ])
+    def test_argument_cap_is_checked_before_any_table(self, scene, named,
+                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+        for name in ("hankel1_grid_scaled", "bessel_j_grid_scaled"):
+            monkeypatch.setattr(specfun, name, refuse)
+        for assemble in (assemble_system, assemble_raw):
+            with pytest.raises(CapabilityError) as exc:
+                assemble(scene, 4)
+            assert str(exc.value) == f"{named} exceeds the argument cap 1000.0"
+
     def test_raw_single_cylinder_needs_no_coupling_orders(self, unit_scene):
         # one cylinder has no H_{2N} coupling, so the raw system goes on
         # to N = ORDER_CAP

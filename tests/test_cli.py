@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,34 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "far", "-N", "100",
                          "-o", str(tmp_path))
         assert code == EXIT_OK
+
+    def test_argument_cap_is_named(self, capsys, tmp_path):
+        # k d_23 = 90 * |(12, 0) - (0, 14)| = 1659.5 > ARG_CAP
+        code, _, err = run(capsys, "solve", "far", "-k", "90", "-N", "5",
+                           "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert ("cylinders 2 and 3: k d_pq = 1659.52 exceeds the argument "
+                "cap 1000.0") in err
+        assert not (tmp_path / "far_solution.csv").exists()
+
+    def test_dimension_cap_is_checked_before_allocating(self, capsys,
+                                                        tmp_path):
+        # 101 cylinders at N = 99: dim 101 * 199 = 20099 > DENSE_DIM_CAP
+        sc = Scene(tuple(Cylinder((3.0 * i, 0.0), 1.0) for i in range(101)),
+                   0.6, PlaneWave(0.0))
+        path = tmp_path / "row.yaml"
+        path.write_text(dumps_scene(sc))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "solve", str(path), "-N", "99",
+                               "-o", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NUMERICAL
+        assert "dimension 20099 exceeds cap 20000" in err
+        assert peak < 2 ** 20
+        assert not (tmp_path / "row_solution.csv").exists()
 
     def test_unwritable_outdir_exits_io(self, capsys, tmp_path):
         blocker = tmp_path / "not_a_dir"
@@ -237,6 +266,17 @@ class TestField:
         assert code == EXIT_NUMERICAL
         assert "cap" in err
         assert not (tmp_path / "far_field.csv").exists()
+
+    def test_argument_cap_is_checked_before_any_block(self, capsys,
+                                                      tmp_path):
+        # (2000, 0) lies k r_3 = 0.6 * 2000.05 from the third cylinder
+        code, _, err = run(capsys, "field", "far", "-N", "5",
+                           "--xlim", "0", "2000", "--ylim", "0", "10",
+                           "--nx", "50", "--ny", "5", "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert ("grid point at k r_p = 1200.03 from cylinder 3 exceeds the "
+                "argument cap 1000.0") in err
+        assert list(tmp_path.glob("*_field.csv")) == []
 
     def test_truncation_beyond_order_cap_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "field", "far", "-N", "101",

@@ -1,5 +1,8 @@
 """Field evaluation: multipole sums, quadrature cross-check, far field."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +22,13 @@ from memscat import (
     solve,
     total_field,
 )
+from memscat import field as field_module
 from memscat import specfun
 from memscat.assembly import CoefficientVector
 from memscat.field import (
+    _BLOCK_POINTS,
     _format_column,
+    _pow10,
     _scattered_unchecked,
     incident_field,
     interior_mask,
@@ -319,6 +325,11 @@ class TestGrid:
         grid = total_field_grid(far_scene, far_phi, (-3.0, 14.0), (-5.0, 3.0),
                                 18, 9)
         assert grid[3].any() and not grid[3].all()
+        # 8281 rows: one full block of _BLOCK_POINTS and a partial one
+        blocks = total_field_grid(far_scene, far_phi, (-3.0, 14.0),
+                                  (-5.0, 16.0), 91, 91)
+        assert blocks[3].any() and not blocks[3].all()
+        assert _BLOCK_POINTS < blocks[3].size < 2 * _BLOCK_POINTS
         # scattered samples with repeats and both signed zeros
         rng = np.random.default_rng(11)
         X = rng.choice([-7.25, -0.0, 0.0, 3.5, 1e-300, 19.0], size=(6, 7))
@@ -329,18 +340,73 @@ class TestGrid:
         U = np.full(pts.shape[0], np.nan + 0j)
         U[~inside] = total_field(far_scene, far_phi, pts[~inside])
         scattered = (X, Y, U.reshape(X.shape), inside.reshape(X.shape))
-        for case in (grid, scattered):
+        for case in (grid, blocks, scattered):
             write_field_csv(tmp_path / "new.csv", *case)
             row_writer(tmp_path / "old.csv", *case)
             assert ((tmp_path / "new.csv").read_bytes()
                     == (tmp_path / "old.csv").read_bytes())
 
-    def test_empty_grid_writes_the_header_only(self, tmp_path):
+    def test_values_do_not_depend_on_the_grid(self, far_scene, far_phi):
+        # more than 16384 exterior points: numpy would elide temporaries in
+        # one call over all of them, and round differently
+        X, Y, U, inside = total_field_grid(far_scene, far_phi, (-6.0, 18.0),
+                                           (-8.0, 20.0), 150, 150)
+        exterior = np.flatnonzero(~inside.ravel())
+        assert exterior.size > 2 * _BLOCK_POINTS
+        sample = np.random.default_rng(3).choice(exterior, 150, replace=False)
+        for i in np.sort(sample):
+            point = [[X.ravel()[i], Y.ravel()[i]]]
+            alone = total_field(far_scene, far_phi, point)
+            assert alone.view(np.int64).tolist() == \
+                U.ravel()[i:i + 1].view(np.int64).tolist(), point
+
+    def test_memory_peak_of_a_large_grid(self, tmp_path, far_scene):
+        # X, Y, U and the mask take 33 bytes a point (2.8 MiB here); the
+        # blocks add a fixed cost
+        phi = solve(*assemble_system(far_scene, 10)).solution
+        tracemalloc.start()
+        try:
+            grid = total_field_grid(far_scene, phi, (-6.0, 18.0),
+                                    (-8.0, 20.0), 300, 300)
+            write_field_csv(tmp_path / "field.csv", *grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+    def test_argument_cap_is_checked_before_any_block(self, far_scene,
+                                                      far_phi, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block was evaluated")
+        monkeypatch.setattr(field_module, "_scattered_block", refuse)
+        # (2000, 0) lies k r_3 = 0.6 * 2000.05 from the third cylinder
+        with pytest.raises(CapabilityError, match="k r_p = 1200.03 from "
+                           "cylinder 3 exceeds the argument cap 1000.0"):
+            total_field_grid(far_scene, far_phi, (0.0, 2000.0), (0.0, 10.0),
+                             50, 5)
+
+    def test_argument_cap_counts_exterior_points_only(self):
+        # every point beyond k r_1 = 1000 lies inside the second cylinder
+        sc = Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((1500.0, 0.0), 400.0)),
+                   0.6, PlaneWave(0.3))
+        X, Y, U, inside = total_field_grid(sc, CoefficientVector.zeros(2, 4),
+                                           (1000.0, 1800.0), (-10.0, 10.0),
+                                           81, 3)
+        assert 0.6 * np.max(np.hypot(X[inside], Y[inside])) > 1000.0
+        assert 0.6 * np.max(np.hypot(X[~inside], Y[~inside])) < 1000.0
+        assert np.all(np.isfinite(U[~inside])) and np.all(np.isnan(U[inside]))
+
+    def test_empty_grid_writes_the_header_only(self, tmp_path, far_scene,
+                                               far_phi):
         empty = np.zeros((0, 4))
-        write_field_csv(tmp_path / "empty.csv", empty, empty,
-                        empty.astype(np.complex128), empty.astype(bool))
-        assert ((tmp_path / "empty.csv").read_bytes()
-                == b"x,y,re_total,im_total,abs_total,inside\n")
+        grid = total_field_grid(far_scene, far_phi, (-3.0, 3.0), (-3.0, 3.0),
+                                4, 0)
+        assert [a.shape for a in grid] == [(0, 4)] * 4
+        for case in ((empty, empty, empty.astype(np.complex128),
+                      empty.astype(bool)), grid):
+            write_field_csv(tmp_path / "empty.csv", *case)
+            assert ((tmp_path / "empty.csv").read_bytes()
+                    == b"x,y,re_total,im_total,abs_total,inside\n")
 
     def test_plot_script_references_the_csv(self, tmp_path):
         path = tmp_path / "field.gp"
@@ -419,3 +485,11 @@ class TestFormatColumn:
 
     def test_empty_column(self):
         assert _format_column(np.zeros(0)).shape == (0, 24)
+
+    def test_powers_of_ten_are_the_rounded_rationals(self):
+        # every exponent 16 - E that a value in [1e-280, 1e280] can ask for
+        k = np.arange(-264, 297)
+        hi, lo = _pow10(k[::-1])
+        for e, h, l in zip(k[::-1].tolist(), hi.tolist(), lo.tolist()):
+            exact = Fraction(10) ** e
+            assert (h, l) == (float(exact), float(exact - Fraction(h))), e
