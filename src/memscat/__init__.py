@@ -4,10 +4,9 @@ measuring truncation error against closed-form decay envelopes."""
 
 from .analysis import (BreakdownReport, ConvergenceReport, RateFit,
                        approximation_error, breakdown_check,
-                       convergence_sweep, first_order_error_sweep, fit_rate,
-                       gamma1, gamma2, onset_truncation, reference_solution,
-                       sigma_series, sigma_series_raw, theorem_slack,
-                       write_bounds_csv, write_report_csv)
+                       convergence_sweep, fit_rate, gamma1, gamma2,
+                       onset_truncation, sigma_series, sigma_series_raw,
+                       theorem_slack, write_bounds_csv, write_report_csv)
 from .assembly import (NORM_L0, NORM_LHALF, BlockOperator, CoefficientVector,
                        assemble_raw, assemble_system, dump_system,
                        load_system_dump, mode_range, mode_weights,

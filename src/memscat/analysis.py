@@ -31,7 +31,7 @@ from .assembly import (NORM_L0, BlockOperator, CoefficientVector,
                        assemble_system, mode_range, mode_weights)
 from .errors import InsufficientPointsError, NonConvergenceError
 from .scene import PairGeometry, PointSource, Scene, pairwise_geometry
-from .solver import SolveResult, solve
+from .solver import solve
 
 REFERENCE_MARGIN = 5
 FIT_FLOOR = 1e-13
@@ -85,27 +85,23 @@ class BreakdownReport:
 def _envelope_base(scene: Scene, geom: PairGeometry, which: int) -> float:
     """Largest per-N base of gamma1 (which=1) or gamma2 (which=2)."""
     radii = scene.radii()
-    M = scene.n_cylinders
     point = isinstance(scene.incident, PointSource)
-    bases = []
-    if point:
-        bases.extend(radii[p] / geom.source_distances[p] for p in range(M))
-    for p in range(M):
-        for q in range(M):
-            if p == q:
-                continue
-            d = geom.distances[p, q]
-            if which == 1:
-                bases.append(radii[p] / (d - radii[q]))
-            elif point:
-                dq = geom.source_distances[q]
-                bases.append(radii[p] * dq / (d * dq - radii[q] ** 2))
-            else:
-                bases.append(radii[p] / d)
-    if M == 1 and not point:
+    if scene.n_cylinders == 1 and not point:
         # no pair terms and no source terms: the bound is vacuous
         return 0.0
-    base = float(max(bases))
+    off = ~np.eye(scene.n_cylinders, dtype=bool)
+    p, q = np.nonzero(off)
+    a_p, a_q, d = radii[p], radii[q], geom.distances[off]
+    if which == 1:
+        bases = a_p / (d - a_q)
+    elif point:
+        dq = geom.source_distances[q]
+        bases = a_p * dq / (d * dq - a_q ** 2)
+    else:
+        bases = a_p / d
+    if point:
+        bases = np.concatenate([radii / geom.source_distances, bases])
+    base = float(np.max(bases))
     if base >= 1.0:
         warnings.warn(
             f"gamma{which} base {base:.4g} >= 1: the envelope does not decay "
@@ -128,14 +124,6 @@ def gamma2(scene: Scene, geom: PairGeometry, truncations):
 # ---------------------------------------------------------------------------
 # error measurement
 # ---------------------------------------------------------------------------
-
-def reference_solution(scene: Scene, n_max: int, backend: str = "dense",
-                       geom: PairGeometry | None = None) -> SolveResult:
-    """Solve at the reference truncation n_max + REFERENCE_MARGIN; the
-    truncation used is recoverable as result.solution.truncation."""
-    op, rhs = assemble_system(scene, n_max + REFERENCE_MARGIN, geom)
-    return solve(op, rhs, backend=backend)
-
 
 def approximation_error(reference: CoefficientVector, approx: CoefficientVector,
                         norm: str = NORM_L0) -> float:
@@ -185,7 +173,7 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
     geom = pairwise_geometry(scene)
     if n_ref is None:
         n_ref = int(truncations[-1]) + REFERENCE_MARGIN
-    op_ref, rhs_ref = assemble_system(scene, n_ref, geom)
+    op_ref, rhs_ref = assemble_system(scene, n_ref)
     ref = solve(op_ref, rhs_ref, backend=backend)
     errors = np.array([
         approximation_error(
@@ -212,14 +200,6 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
             rates[name] = None
     return ConvergenceReport(scene_id, norm, truncations, errors, g1, g2,
                              surrogate, n_ref, rates)
-
-
-def first_order_error_sweep(scene: Scene, truncations, norm: str = NORM_L0,
-                            scene_id: str = "scene") -> ConvergenceReport:
-    """Convergence sweep that also reports the first-order truncation
-    surrogate || G - G(N) || + || (A(N_ref) - A(N)) G(N_ref) ||."""
-    return convergence_sweep(scene, truncations, norm=norm,
-                             include_surrogate=True, scene_id=scene_id)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +237,10 @@ def fit_rate(truncations, values, tail_fraction: float = FIT_TAIL_FRACTION,
 
 def theorem_slack(report: ConvergenceReport, envelope: str = "gamma1",
                   slack_per_n: float = THEOREM_SLACK_PER_N) -> float:
-    """Smallest finite C with log E(N) <= log gamma(N) + slack*N + C over the
-    fitted tail; finiteness is the bound-validity check."""
+    """The smallest C with log E(N) <= log gamma(N) + slack*N + C over the
+    N window of the E rate fit, or inf when E or gamma is not positive
+    there.  C is finite for any positive errors, so it measures where E
+    sits against the envelope; it does not by itself test the bound."""
     fit = report.rates.get("E")
     if fit is None:
         raise InsufficientPointsError("no E rate fit available")
@@ -356,21 +338,19 @@ def sigma_series_raw(m: int, a_p: float, a_q: float, d: float,
     raise NonConvergenceError(f"sigma series needed more than {n_max} terms")
 
 
-def breakdown_check(scene: Scene, geom: PairGeometry | None = None) -> BreakdownReport:
+def breakdown_check(scene: Scene) -> BreakdownReport:
     """Heuristic validity of the first-order (single-scattering) answer.
 
     The surface gap between the two largest cylinders must exceed
     BREAKDOWN_GAP_FACTOR times the second-largest radius; otherwise repeated
     reflections carry O(1) energy and the zeroth iterate cannot be trusted.
     """
-    if geom is None:
-        geom = pairwise_geometry(scene)
     radii = scene.radii()
     if scene.n_cylinders < 2:
         return BreakdownReport(True, float("inf"), 0.0, (0, 0))
     order = np.argsort(-radii, kind="stable")
     p, q = int(order[0]), int(order[1])
-    gap = float(geom.distances[p, q] - radii[p] - radii[q])
+    gap = float(pairwise_geometry(scene).distances[p, q] - radii[p] - radii[q])
     threshold = BREAKDOWN_GAP_FACTOR * float(radii[q])
     return BreakdownReport(gap > threshold, gap, threshold, (p, q))
 

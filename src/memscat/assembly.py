@@ -24,7 +24,7 @@ combined in scaled (mantissa, exponent-of-2) arithmetic before conversion, so
 high modes neither overflow nor underflow on the way to O(1) entries.
 
 The entries of `assemble_raw` are certified against a quadrature route
-(`single_layer_pairing_quadrature`, `incident_trace_quadrature`) that knows
+(`pairing_block_quadrature`, `incident_trace_quadrature`) that knows
 nothing about Graf's theorem: plain tensor trapezoid between distinct circles
 and Kress' log-singularity rule (Linear Integral Equations, ch. 12) on a
 single circle, with the kernel evaluated by scipy.special.  Since both
@@ -96,9 +96,6 @@ class CoefficientVector:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
-
-    def copy(self) -> "CoefficientVector":
-        return CoefficientVector(self.data.copy())
 
     def get(self, p: int, m: int) -> complex:
         return self.data[p, m + self.truncation]
@@ -239,8 +236,9 @@ def _mode_tables(scene: Scene, N: int, geom: PairGeometry) -> _ModeTables:
     j = _signed_orders(*specfun.bessel_j_grid_scaled(N, ka), m)
     h_pair = None
     if pairs:
+        # the off-diagonal distances in row-major order, the order of pairs
         h_pair = _signed_orders(*specfun.hankel1_grid_scaled(
-            2 * N, k * np.array([geom.distances[p, q] for p, q in pairs])),
+            2 * N, k * geom.distances[~np.eye(M, dtype=bool)]),
             mode_range(2 * N))
     h_src = None
     if isinstance(scene.incident, PointSource):
@@ -310,7 +308,7 @@ def _plane_wave_phase(scene: Scene, N: int) -> tuple:
             np.exp(1j * mode_range(N) * (0.5 * np.pi - beta_hat))[:, None])
 
 
-def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
+def assemble_system(scene: Scene, N: int):
     """Preconditioned truncated system (I + A, g) at truncation N.
 
     Closed forms, for p != q (A^pp = 0):
@@ -336,8 +334,7 @@ def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
             f"the couplings need H_{{2N}}, and orders are capped at "
             f"{specfun.ORDER_CAP}")
     dim = _check_dense_dim(M, N)
-    if geom is None:
-        geom = pairwise_geometry(scene)
+    geom = pairwise_geometry(scene)
     radii = scene.radii()
     m = mode_range(N)
     t = _mode_tables(scene, N, geom)
@@ -360,7 +357,7 @@ def assemble_system(scene: Scene, N: int, geom: PairGeometry | None = None):
     return BlockOperator(M, N, matrix), CoefficientVector(rhs)
 
 
-def assemble_raw(scene: Scene, N: int, geom: PairGeometry | None = None):
+def assemble_raw(scene: Scene, N: int):
     """Unpreconditioned system (V, f) at truncation N; the quadrature
     references certify these entries.
 
@@ -379,8 +376,7 @@ def assemble_raw(scene: Scene, N: int, geom: PairGeometry | None = None):
     """
     M = scene.n_cylinders
     dim = _check_dense_dim(M, N)
-    if geom is None:
-        geom = pairwise_geometry(scene)
+    geom = pairwise_geometry(scene)
     radii = scene.radii()
     m = mode_range(N)
     t = _mode_tables(scene, N, geom)
@@ -427,9 +423,11 @@ def _kress_log_weights(n_half: int) -> np.ndarray:
     return row[(lag[:, None] - lag[None, :]) % n2]
 
 
-def single_layer_pairing_quadrature(scene: Scene, p: int, q: int, m: int, n: int,
-                                    n_quad: int = 256) -> complex:
-    """<V b_n^q, b_m^p> by direct quadrature; reference for the closed forms.
+def pairing_block_quadrature(scene: Scene, p: int, q: int, N: int,
+                             n_quad: int = 256) -> np.ndarray:
+    """The pairings <V b_n^q, b_m^p> for |m|, |n| <= N by direct quadrature,
+    as a (2N+1, 2N+1) array with entry (m + N, n + N); the reference for the
+    closed forms.
 
     Distinct circles: tensor trapezoid (spectrally accurate for the analytic
     kernel).  Same circle: Kress' rule for the logarithmic singularity.  The
@@ -438,14 +436,6 @@ def single_layer_pairing_quadrature(scene: Scene, p: int, q: int, m: int, n: int
     y0/y1 anchors of its Y recurrence (cephes y0 calls j0 below x = 5); every
     other value, and every order above 1, comes from specfun's recurrences.
     """
-    block = pairing_block_quadrature(scene, p, q, max(abs(m), abs(n)), n_quad)
-    N = (block.shape[0] - 1) // 2
-    return complex(block[m + N, n + N])
-
-
-def pairing_block_quadrature(scene: Scene, p: int, q: int, N: int,
-                             n_quad: int = 256) -> np.ndarray:
-    """All pairings <V b_n^q, b_m^p> for |m|, |n| <= N at once."""
     if n_quad % 2:
         raise ValueError("n_quad must be even")
     k = scene.wavenumber

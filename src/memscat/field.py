@@ -24,12 +24,11 @@ k r_p > ARG_CAP raise CapabilityError.
 Points are evaluated, and field CSVs written, in blocks of 8192
 (_BLOCK_POINTS).  8192 complex values are 128 KiB, under numpy's 256 KiB
 threshold for eliding temporaries, so every value takes the same
-out-of-place loops however many points share a call, and each scattered
-value depends on its own point alone, bitwise.  So does a point source's
-incident value; a plane wave's phase comes from a BLAS product
-(pts @ beta) whose rounding can depend on the batch.  A grid costs 33 bytes
-per point (X, Y, the complex values and the interior mask) plus one block's
-working set, about 2 MiB while evaluating and 3 MiB while writing.
+out-of-place loops however many points share a call.  Incident values are
+elementwise too, so each total-field value depends on its own point alone,
+bitwise.  A grid costs 33 bytes per point (X, Y, the complex values and the
+interior mask) plus one block's working set, about 2 MiB while evaluating
+and 3 MiB while writing.
 total_field_grid checks the argument cap over all its exterior points
 before it evaluates any block.
 """
@@ -73,8 +72,10 @@ def incident_field(scene: Scene, points) -> np.ndarray:
     pts = _as_points(points)
     k = scene.wavenumber
     if isinstance(scene.incident, PlaneWave):
-        beta = np.array([np.cos(scene.incident.angle), np.sin(scene.incident.angle)])
-        return np.exp(1j * k * (pts @ beta))
+        # elementwise, so that each value depends on its own point alone
+        angle = scene.incident.angle
+        return np.exp(1j * k * (pts[:, 0] * np.cos(angle)
+                                + pts[:, 1] * np.sin(angle)))
     x0 = np.asarray(scene.incident.location, dtype=np.float64)
     r = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
     return 0.25j * scipy.special.hankel1(0, k * r)
@@ -124,7 +125,7 @@ def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
         r = np.hypot(dx, dy)
         x = k * r
         # the anchors take any argument, so the envelope is checked here
-        specfun._check_arg(x, positive=True)
+        specfun._check_arg(x)
         z = (dx + 1j * dy) / r                      # e^{i theta_p}
         p_prev = (scipy.special.j0(x) + 1j * scipy.special.y0(x)) / h01[0, p]
         p_cur = (scipy.special.j1(x) + 1j * scipy.special.y1(x)) / h01[1, p]
@@ -179,7 +180,7 @@ def single_layer_field_quadrature(scene: Scene, phi: CoefficientVector,
 
 
 def boundary_residual(scene: Scene, phi: CoefficientVector,
-                      samples_per_cylinder: int = 360, p: int | None = None,
+                      samples_per_cylinder: int = 360,
                       offset: float = BOUNDARY_OFFSET) -> float:
     """Max |total field| sampled just outside the boundaries; zero for the
     exact solution.
@@ -190,13 +191,12 @@ def boundary_residual(scene: Scene, phi: CoefficientVector,
     circles (a finite expression, continuous up to r = a_p), which measures
     pure truncation-plus-solve error.
     """
-    cyls = scene.cylinders if p is None else (scene.cylinders[p],)
     t = 2.0 * np.pi * np.arange(samples_per_cylinder) / samples_per_cylinder
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
     # all samples in one evaluation: each value depends on its own point alone
     pts = np.concatenate([np.asarray(cyl.center)
                           + cyl.radius * (1.0 + offset) * circle
-                          for cyl in cyls])
+                          for cyl in scene.cylinders])
     vals = incident_field(scene, pts) + _scattered_unchecked(scene, phi, pts)
     return float(np.max(np.abs(vals)))
 

@@ -112,28 +112,24 @@ def validate_scene(scene: Scene) -> ValidationReport:
     if rep.violations:
         return rep
 
-    centers = scene.centers()
+    geom = pairwise_geometry(scene)
     radii = scene.radii()
-    n = scene.n_cylinders
-    for p in range(n):
-        for q in range(p + 1, n):
-            d = float(np.hypot(*(centers[q] - centers[p])))
-            if d <= radii[p] + radii[q] + OVERLAP_SLACK:
-                rep.violations.append(
-                    f"cylinders {p + 1} and {q + 1} overlap or touch "
-                    f"(distance {d:.6g} <= radius sum {radii[p] + radii[q]:.6g})")
+    d = geom.distances
+    touch = np.triu(d <= radii[:, None] + radii[None, :] + OVERLAP_SLACK, 1)
+    for p, q in zip(*np.nonzero(touch)):
+        rep.violations.append(
+            f"cylinders {p + 1} and {q + 1} overlap or touch "
+            f"(distance {d[p, q]:.6g} <= radius sum {radii[p] + radii[q]:.6g})")
 
     if isinstance(scene.incident, PointSource):
-        x0 = np.asarray(scene.incident.location, dtype=np.float64)
-        if not np.all(np.isfinite(x0)):
+        if not np.all(np.isfinite(scene.incident.location)):
             rep.violations.append("point source location is not finite")
         else:
-            for p in range(n):
-                d = float(np.hypot(*(x0 - centers[p])))
-                if d <= radii[p] + OVERLAP_SLACK:
-                    rep.violations.append(
-                        f"point source lies inside cylinder {p + 1} "
-                        f"(distance {d:.6g} <= radius {radii[p]:.6g})")
+            ds = geom.source_distances
+            for p in np.flatnonzero(ds <= radii + OVERLAP_SLACK):
+                rep.violations.append(
+                    f"point source lies inside cylinder {p + 1} "
+                    f"(distance {ds[p]:.6g} <= radius {radii[p]:.6g})")
     elif isinstance(scene.incident, PlaneWave):
         if not np.isfinite(scene.incident.angle):
             rep.violations.append("plane wave angle is not finite")

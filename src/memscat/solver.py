@@ -30,8 +30,6 @@ from .errors import SingularSystemError
 GMRES_DEFAULT_TOL = 1e-12
 GMRES_DEFAULT_RESTART = 50
 REFLECTIONS_DEFAULT_TOL = 1e-12
-# svd-based condition estimate only below this dimension (cost n^3)
-_COND_DIM_CAP = 2000
 
 
 @dataclass
@@ -42,7 +40,6 @@ class SolveResult:
     residual: float          # absolute defect ||g - (I+A) phi||_2
     converged: bool
     diverged: bool = False
-    condition: float | None = None
 
 
 def _residual_norm(op: BlockOperator, rhs: CoefficientVector,
@@ -51,28 +48,22 @@ def _residual_norm(op: BlockOperator, rhs: CoefficientVector,
     return float(np.linalg.norm(r))
 
 
-def solve_dense(op: BlockOperator, rhs: CoefficientVector,
-                estimate_condition: bool = False) -> SolveResult:
+def solve_dense(op: BlockOperator, rhs: CoefficientVector) -> SolveResult:
     """Direct solve via LAPACK; the reference backend for everything else."""
-    mat = op.matrix
     try:
-        x = np.linalg.solve(mat, rhs.flat())
+        x = np.linalg.solve(op.matrix, rhs.flat())
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dense factorization failed: {exc}") from exc
     sol = CoefficientVector.from_flat(x, op.n_cylinders, op.truncation)
-    cond = None
-    if estimate_condition and op.dim <= _COND_DIM_CAP:
-        cond = float(np.linalg.cond(mat))
     res = _residual_norm(op, rhs, sol)
-    return SolveResult(sol, "dense", 0, res, converged=bool(np.isfinite(res)),
-                       condition=cond)
+    return SolveResult(sol, "dense", 0, res, converged=bool(np.isfinite(res)))
 
 
 def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
                 tol: float = GMRES_DEFAULT_TOL,
-                restart: int = GMRES_DEFAULT_RESTART,
                 max_iterations: int = 1000) -> SolveResult:
-    """Restarted GMRES on the block operator, through its matvec."""
+    """GMRES on the block operator, through its matvec, restarted every
+    GMRES_DEFAULT_RESTART iterations."""
     M, N = op.n_cylinders, op.truncation
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -92,7 +83,7 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
         beta = float(np.linalg.norm(r))
         if beta <= eta:
             break
-        dim = min(restart, max_iterations - total_iters)
+        dim = min(GMRES_DEFAULT_RESTART, max_iterations - total_iters)
         V = np.zeros((dim + 1, b.size), dtype=np.complex128)
         H = np.zeros((dim + 1, dim), dtype=np.complex128)
         cs = np.zeros(dim, dtype=np.complex128)

@@ -24,8 +24,9 @@ Method notes
   solution in the growing direction.
 * H_m^(1) = J_m + i Y_m, combined in scaled space per order.
 
-Supported envelope: 0 <= order <= 200, 0 < x <= 1000 (J alone also allows
-x = 0).  Outside it, CapabilityError.  Plain-float accessors raise
+Supported envelope: 0 <= order <= 200, 0 < x <= 1000 for every table.
+Orders or arguments above it raise CapabilityError; negative orders, and
+arguments that are not finite or not positive, raise ValueError.  Plain-float accessors raise
 OverflowError when a value exceeds the double range; underflow returns 0.0.
 """
 
@@ -54,13 +55,11 @@ def _check_order(m_max: int) -> int:
     return m_max
 
 
-def _check_arg(x: np.ndarray, positive: bool) -> None:
+def _check_arg(x: np.ndarray) -> None:
     if np.any(~np.isfinite(x)):
         raise ValueError("argument must be finite")
-    if positive and np.any(x <= 0.0):
-        raise ValueError("argument must be > 0 for Y and H sequences")
-    if np.any(x < 0.0):
-        raise ValueError("argument must be >= 0")
+    if np.any(x <= 0.0):
+        raise ValueError("argument must be > 0")
     if np.any(x > ARG_CAP):
         raise CapabilityError(f"argument exceeds cap {ARG_CAP}")
 
@@ -127,29 +126,21 @@ def bessel_j_grid_scaled(m_max: int, x):
     """
     m_max = _check_order(m_max)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _check_arg(x, positive=False)
+    _check_arg(x)
     n = x.size
-    mant = np.zeros((m_max + 1, n))
-    exp2 = np.zeros((m_max + 1, n), dtype=np.int64)
+    start = _miller_start(m_max, float(np.max(x)))
 
-    zero = x == 0.0
-    if np.all(zero):
-        mant[0, :] = 1.0
-        return mant, exp2
-    xs = x[~zero]
-    start = _miller_start(m_max, float(np.max(xs)))
-
-    fp = np.zeros(xs.size)            # unnormalized f_{m+2}
-    fc = np.ones(xs.size)             # unnormalized f_{m+1}
-    shift = np.zeros(xs.size, dtype=np.int64)
-    store_m = np.zeros((m_max + 1, xs.size))
-    store_e = np.zeros((m_max + 1, xs.size), dtype=np.int64)
+    fp = np.zeros(n)                  # unnormalized f_{m+2}
+    fc = np.ones(n)                   # unnormalized f_{m+1}
+    shift = np.zeros(n, dtype=np.int64)
+    store_m = np.zeros((m_max + 1, n))
+    store_e = np.zeros((m_max + 1, n), dtype=np.int64)
     # even-order accumulator for the normalization sum, kept in scaled form
-    acc = np.zeros(xs.size)
+    acc = np.zeros(n)
     if start % 2 == 0:
         acc[:] = 2.0 * fc
 
-    inv_x = 1.0 / xs
+    inv_x = 1.0 / x
     for m in range(start - 1, -1, -1):
         fn = (2.0 * (m + 1)) * inv_x * fc - fp
         big = np.abs(fn) > _RESCALE_THRESHOLD
@@ -171,21 +162,14 @@ def bessel_j_grid_scaled(m_max: int, x):
     # under the final shift; each stored row remembers the shift it saw, so
     # the true exponent is the difference.  |store_m| <= 2^600 and |acc| >= O(1)
     # after any rescale, so the division itself cannot overflow.
-    out_m = store_m / acc
-    out_e = store_e - shift
-    om, oe = _renormalize(out_m, out_e)
-    mant[:, ~zero] = om
-    exp2[:, ~zero] = oe
-    if np.any(zero):
-        mant[0, zero] = 1.0
-    return mant, exp2
+    return _renormalize(store_m / acc, store_e - shift)
 
 
 def bessel_y_grid_scaled(m_max: int, x):
     """Y_m(x_i) for m = 0..m_max over a batch of points, in scaled form."""
     m_max = _check_order(m_max)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _check_arg(x, positive=True)
+    _check_arg(x)
     n = x.size
     mant = np.zeros((m_max + 1, n))
     exp2 = np.zeros((m_max + 1, n), dtype=np.int64)
@@ -213,7 +197,6 @@ def bessel_y_grid_scaled(m_max: int, x):
 def hankel1_grid_scaled(m_max: int, x):
     """H_m^(1)(x_i) = J_m + i Y_m, combined order-by-order in scaled form."""
     jm, je = bessel_j_grid_scaled(m_max, x)
-    # J path allows x = 0; H does not, so validate through the Y path
     ym, ye = bessel_y_grid_scaled(m_max, x)
     e = np.maximum(je, ye)
     mant = np.ldexp(jm, np.clip(je - e, -1500, 0).astype(np.int32)) \

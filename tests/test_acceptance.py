@@ -20,11 +20,14 @@ from memscat import (
     boundary_residual,
     convergence_sweep,
     far_field_amplitude,
+    gamma1,
+    pairwise_geometry,
     preset_scene,
     scattered_field,
     solve,
 )
-from memscat.analysis import onset_truncation, sigma_series_raw, theorem_slack
+from memscat.analysis import (THEOREM_SLACK_PER_N, onset_truncation,
+                              sigma_series_raw, theorem_slack)
 from memscat.assembly import assemble_raw, pairing_block_quadrature
 from memscat.field import interior_mask, single_layer_field_quadrature
 from memscat import specfun
@@ -35,11 +38,12 @@ N_REF = 30
 _sweeps: dict = {}
 
 
-def sweep(preset: str):
-    if preset not in _sweeps:
-        _sweeps[preset] = convergence_sweep(
-            preset_scene(preset), TRUNCATIONS, n_ref=N_REF, scene_id=preset)
-    return _sweeps[preset]
+def sweep(preset: str, k: float = 0.6):
+    if (preset, k) not in _sweeps:
+        _sweeps[preset, k] = convergence_sweep(
+            preset_scene(preset, wavenumber=k), TRUNCATIONS, n_ref=N_REF,
+            scene_id=preset)
+    return _sweeps[preset, k]
 
 
 def report(num: int, ok: bool, detail: str):
@@ -52,7 +56,7 @@ def test_criterion_01_far_rate_matches_worst_case_envelope():
     rep = convergence_sweep(preset_scene("far"), TRUNCATIONS, n_ref=N_REF,
                             scene_id="far")
     elapsed = time.perf_counter() - start
-    _sweeps["far"] = rep
+    _sweeps["far", 0.6] = rep
     s_e = rep.rates["E"].slope
     s_g1 = rep.rates["gamma1"].slope
     gap = abs(s_e - s_g1)
@@ -67,7 +71,7 @@ def test_criterion_02_close_rate_prefers_refined_envelope():
     rep = convergence_sweep(preset_scene("close"), TRUNCATIONS, n_ref=N_REF,
                             scene_id="close")
     elapsed = time.perf_counter() - start
-    _sweeps["close"] = rep
+    _sweeps["close", 0.6] = rep
     s_e = rep.rates["E"].slope
     d1 = abs(s_e - rep.rates["gamma1"].slope)
     d2 = abs(s_e - rep.rates["gamma2"].slope)
@@ -87,6 +91,23 @@ def test_criterion_03_envelope_bound_holds_with_slack():
     ok = math.isfinite(worst)
     report(3, ok, "log E - log gamma1 <= 0.05 N + C with finite C: "
                   + ", ".join(details))
+
+
+def test_fitted_rate_respects_the_worst_case_envelope():
+    # The bound check that can fail: the fitted decay rate of E(N) is no
+    # slower than gamma1's, up to the per-N slack theorem_slack allows.
+    details, ok = [], True
+    for k in (0.6, 3.0):
+        for preset in ("far", "moderate", "close", "touching"):
+            sc = preset_scene(preset, wavenumber=k)
+            allowed = (math.log(gamma1(sc, pairwise_geometry(sc), 1))
+                       + THEOREM_SLACK_PER_N)
+            slope = sweep(preset, k).rates["E"].slope
+            ok &= slope <= allowed
+            details.append(f"{preset} k={k:g}: {slope:+.3f} <= "
+                           f"{allowed:+.3f}")
+    print("slope(E) <= log(base1) + slack: " + ", ".join(details))
+    assert ok, ", ".join(details)
 
 
 def test_criterion_04_single_cylinder_truncation_is_exact():

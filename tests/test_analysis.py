@@ -16,12 +16,10 @@ from memscat import (
     Scene,
     assemble_system,
     convergence_sweep,
-    first_order_error_sweep,
     fit_rate,
     gamma1,
     gamma2,
     preset_scene,
-    reference_solution,
     approximation_error,
     sigma_series,
     solve,
@@ -154,16 +152,6 @@ class TestRateFit:
 
 
 class TestReferenceAndError:
-    def test_reference_adds_margin(self, far_scene):
-        ref = reference_solution(far_scene, 7)
-        assert ref.solution.truncation == 7 + REFERENCE_MARGIN
-
-    def test_single_cylinder_reference_is_rhs(self):
-        sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
-        ref = reference_solution(sc, 6)
-        _, rhs = assemble_system(sc, 6 + REFERENCE_MARGIN)
-        assert np.array_equal(ref.solution.data, rhs.data)
-
     def test_error_of_itself_is_zero(self, far_solution):
         sol = far_solution.solution
         assert approximation_error(sol, sol) == 0.0
@@ -194,6 +182,7 @@ class TestConvergenceSweep:
     def test_single_cylinder_error_is_the_exact_tail(self):
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
         report = convergence_sweep(sc, range(0, 11), scene_id="single")
+        assert report.n_ref == 10 + REFERENCE_MARGIN
         _, rhs = assemble_system(sc, report.n_ref)
         g = rhs.data[0]
         n_ref = report.n_ref
@@ -252,12 +241,13 @@ class TestFirstOrderSurrogate:
         # With one cylinder there is no coupling term, so the surrogate
         # degenerates to the rhs tail norm, which is exactly E(N).
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
-        report = first_order_error_sweep(sc, range(0, 9))
+        report = convergence_sweep(sc, range(0, 9), include_surrogate=True)
         assert report.e1_surrogate is not None
         assert np.max(np.abs(report.e1_surrogate - report.errors)) < 1e-14
 
     def test_surrogate_tracks_the_refined_envelope(self, far_scene):
-        report = first_order_error_sweep(far_scene, range(1, 26))
+        report = convergence_sweep(far_scene, range(1, 26),
+                                   include_surrogate=True)
         s = report.rates["E1_surrogate"].slope
         g2 = report.rates["gamma2"].slope
         assert abs(s - g2) <= 0.10 * abs(g2)
@@ -364,7 +354,8 @@ class TestReportOutput:
         assert np.allclose(data[:, 1], report.errors, rtol=1e-15)
 
     def test_report_csv_includes_surrogate_column(self, tmp_path, far_scene):
-        report = first_order_error_sweep(far_scene, range(1, 8))
+        report = convergence_sweep(far_scene, range(1, 8),
+                                   include_surrogate=True)
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text().splitlines()

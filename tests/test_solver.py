@@ -75,12 +75,6 @@ class TestDense:
         defect = op.matrix @ result.solution.flat() - rhs.flat()
         assert np.max(np.abs(defect)) < 1e-11
 
-    def test_condition_estimate_is_optional(self, moderate_system):
-        op, rhs = moderate_system
-        assert solve_dense(op, rhs).condition is None
-        est = solve_dense(op, rhs, estimate_condition=True).condition
-        assert est is not None and est >= 1.0
-
     def test_singular_system_raises(self):
         op = BlockOperator(2, 0, np.array([[1.0, -1.0], [-1.0, 1.0]],
                                           dtype=np.complex128))

@@ -306,8 +306,11 @@ class TestScaledSequences:
 
 class TestDomainAndCaps:
     def test_j_at_zero(self):
-        assert specfun.bessel_j(0, 0.0) == 1.0
-        assert specfun.bessel_j(3, 0.0) == 0.0
+        # every table takes 0 < x <= ARG_CAP, J included
+        with pytest.raises(ValueError, match="> 0"):
+            specfun.bessel_j(0, 0.0)
+        with pytest.raises(ValueError, match="> 0"):
+            specfun.bessel_j_grid_scaled(3, [0.0, 1.0])
 
     def test_y_rejects_nonpositive(self):
         with pytest.raises(ValueError):
