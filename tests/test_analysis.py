@@ -152,6 +152,16 @@ class TestRateFit:
 
 
 class TestReferenceAndError:
+    def test_reference_adds_margin(self, far_scene):
+        report = convergence_sweep(far_scene, range(1, 8))
+        assert report.n_ref == 7 + REFERENCE_MARGIN
+
+    def test_single_cylinder_reference_is_rhs(self):
+        sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
+        op, rhs = assemble_system(sc, 6 + REFERENCE_MARGIN)
+        ref = solve(op, rhs)
+        assert np.array_equal(ref.solution.data, rhs.data)
+
     def test_error_of_itself_is_zero(self, far_solution):
         sol = far_solution.solution
         assert approximation_error(sol, sol) == 0.0
@@ -182,7 +192,6 @@ class TestConvergenceSweep:
     def test_single_cylinder_error_is_the_exact_tail(self):
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
         report = convergence_sweep(sc, range(0, 11), scene_id="single")
-        assert report.n_ref == 10 + REFERENCE_MARGIN
         _, rhs = assemble_system(sc, report.n_ref)
         g = rhs.data[0]
         n_ref = report.n_ref
