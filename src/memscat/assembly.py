@@ -17,11 +17,11 @@ solved downstream is the diagonally preconditioned one,
   (I + A) phi = g,   A^pq = B^pp V^pq (p != q),   g^p = B^pp f^p,
 
 where B^pp = (V^pp)^{-1} is diagonal.  `assemble_raw` builds (V, f) and
-`assemble_system` builds (I + A, g) from one set of batched Bessel tables
-(`_mode_tables`) and one coupling-block loop (`_fill_pair_blocks`); they
-differ only in the products they form.  All special-function products are
-combined in scaled (mantissa, exponent-of-2) arithmetic before conversion, so
-high modes neither overflow nor underflow on the way to O(1) entries.
+`assemble_system` builds (I + A, g) from one J and one Y recurrence over all
+the arguments k a_p, k d_pq, k d_p,x0 (`_mode_tables`) and one coupling-block
+loop (`_fill_pair_blocks`); they differ only in the products they form.  All
+special-function products are combined in scaled (mantissa, exponent-of-2)
+arithmetic before conversion, so high modes neither overflow nor underflow.
 
 The entries of `assemble_raw` are certified against a quadrature route
 (`pairing_block_quadrature`, `incident_trace_quadrature`) that knows
@@ -182,7 +182,7 @@ class BlockOperator:
 
 class _ModeTables(NamedTuple):
     """Scaled (mant, exp2) Bessel tables over signed orders, one column per
-    argument; each is one batched specfun call shared by both assemblies."""
+    argument; slices of one J and one Y recurrence, shared by both assemblies."""
 
     pairs: list            # ordered pairs (p, q), p != q: the h_pair columns
     j: tuple               # J_m(k a_p), m = -N..N
@@ -224,27 +224,29 @@ def _check_argument_cap(scene: Scene, geom: PairGeometry) -> None:
 
 
 def _mode_tables(scene: Scene, N: int, geom: PairGeometry) -> _ModeTables:
-    """The tables both assemblies need at truncation N, one call each, after
-    the argument cap is checked."""
+    """The tables both assemblies need at truncation N, after the argument
+    cap is checked: one J and one Y recurrence over every argument."""
     _check_argument_cap(scene, geom)
     M = scene.n_cylinders
     k = scene.wavenumber
-    ka = k * scene.radii()
     m = mode_range(N)
     pairs = [(p, q) for p in range(M) for q in range(M) if p != q]
-    h = _signed_orders(*specfun.hankel1_grid_scaled(N, ka), m)
-    j = _signed_orders(*specfun.bessel_j_grid_scaled(N, ka), m)
-    h_pair = None
-    if pairs:
-        # the off-diagonal distances in row-major order, the order of pairs
-        h_pair = _signed_orders(*specfun.hankel1_grid_scaled(
-            2 * N, k * geom.distances[~np.eye(M, dtype=bool)]),
-            mode_range(2 * N))
-    h_src = None
+    # the radii, the off-diagonal distances in row-major order (the order
+    # of pairs), then the source distances
+    args = [k * scene.radii(), k * geom.distances[~np.eye(M, dtype=bool)]]
     if isinstance(scene.incident, PointSource):
-        h_src = _signed_orders(*specfun.hankel1_grid_scaled(
-            N, k * geom.source_distances), m)
-    return _ModeTables(pairs, j, h, h_pair, h_src)
+        args.append(k * geom.source_distances)
+    x = np.concatenate(args)
+    top = 2 * N if pairs else N
+    jm, je = specfun.bessel_j_grid_scaled(top, x)
+    hm, he = specfun._hankel_from(jm, je, *specfun.bessel_y_grid_scaled(top, x))
+    rest = M + len(pairs)
+    h_pair = _signed_orders(hm[:, M:rest], he[:, M:rest], mode_range(2 * N)) \
+        if pairs else None
+    h_src = _signed_orders(hm[:, rest:], he[:, rest:], m) \
+        if isinstance(scene.incident, PointSource) else None
+    return _ModeTables(pairs, _signed_orders(jm[:, :M], je[:, :M], m),
+                       _signed_orders(hm[:, :M], he[:, :M], m), h_pair, h_src)
 
 
 def _fill_pair_blocks(matrix: np.ndarray, t: _ModeTables, geom: PairGeometry,

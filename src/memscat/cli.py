@@ -10,8 +10,8 @@
 SCENE is either a YAML scene file or a preset name (far, moderate, close,
 touching).  Artifacts land in --outdir as CSV files plus gnuplot scripts.
 
-Exit codes: 0 success; 1 scene/config rejection; 2 numerical failure;
-3 I/O failure.
+Exit codes: 0 success; 1 scene/config rejection; 2 numerical failure
+(including running out of memory); 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

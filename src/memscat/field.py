@@ -103,8 +103,9 @@ def _radius_tables(scene: Scene, N: int):
     H_0, H_1 at k a_p, one column per cylinder: the only values taken from
     the scaled tables, once per evaluation."""
     ka = scene.wavenumber * scene.radii()
-    hm, he = specfun.hankel1_grid_scaled(N + 1, ka)
     jm, je = specfun.bessel_j_grid_scaled(N + 1, ka)
+    hm, he = specfun._hankel_from(jm, je,
+                                  *specfun.bessel_y_grid_scaled(N + 1, ka))
     return (specfun.scaled_to_float(jm * hm, je + he),
             specfun.scaled_to_float(hm[:-1] / hm[1:], he[:-1] - he[1:]),
             specfun.scaled_to_float(hm[:2], he[:2]))

@@ -13,9 +13,9 @@ higher order comes from the scaled recurrences below.
 Method notes
 ------------
 * J_m: Miller's downward recurrence normalized with the even-order sum rule
-  J_0(x) + 2*sum_k J_2k(x) = 1 (Abramowitz & Stegun 9.1.46).  The start order
-  sits well past the turning point so contamination by the dominant solution
-  is below 1e-16 relative.
+  J_0(x) + 2*sum_k J_2k(x) = 1 (A&S 9.1.46), started per argument well past
+  its turning point: contamination by the dominant solution is below 1e-16
+  relative, and a column of a batch is bitwise the one-argument table.
 * Y_0, Y_1: scipy.special.y0 / y1 (cephes).  Against 40-digit references,
   relative to max(|Y|, sqrt(2/(pi x))), Y_0, Y_1, Y_5 and Y_30 are within
   4e-15 for 1 <= x <= 17, 7e-15 up to x = 100 and 3.1e-14 up to x = 1000,
@@ -99,20 +99,15 @@ def scaled_to_float(mant, exp2):
     return out[0] if scalar else out
 
 
-def scaled_log_abs(mant: np.ndarray, exp2: np.ndarray):
-    """Natural log of |value| for scaled pairs; -inf where the mantissa is 0."""
-    mant = np.asarray(mant, dtype=np.complex128 if np.iscomplexobj(mant) else np.float64)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(mant)) + np.asarray(exp2, dtype=np.float64) * np.log(2.0)
-
-
 # ---------------------------------------------------------------------------
 # scaled sequences over a batch of arguments
 # ---------------------------------------------------------------------------
 
-def _miller_start(m_max: int, x_max: float) -> int:
-    base = max(m_max, int(np.ceil(x_max)))
-    return base + 20 + int(np.ceil(np.sqrt(40.0 * max(m_max, x_max, 1.0))))
+def _miller_start(m_max: int, x: np.ndarray) -> np.ndarray:
+    """Start order of each argument's downward recurrence."""
+    base = np.maximum(m_max, np.ceil(x))
+    width = np.ceil(np.sqrt(40.0 * np.maximum(np.maximum(m_max, x), 1.0)))
+    return (base + 20 + width).astype(np.int64)
 
 
 def bessel_j_grid_scaled(m_max: int, x):
@@ -120,31 +115,36 @@ def bessel_j_grid_scaled(m_max: int, x):
 
     Returns (mant, exp2) arrays of shape (m_max+1, len(x)).
 
-    The Miller start order comes from the largest argument in the batch, so
-    the last bits of J (and of H's real part) depend on which arguments share
-    the call; Y does not.
+    Each argument's recurrence starts at its own Miller order; one loop runs
+    from the largest and takes a column up when it reaches that column's
+    start, so every column is bitwise what a one-argument call returns.
     """
     m_max = _check_order(m_max)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_arg(x)
     n = x.size
-    start = _miller_start(m_max, float(np.max(x)))
+    starts = _miller_start(m_max, x)
+    # the columns whose recurrence starts at each order
+    begin = {int(s): np.flatnonzero(starts == s) for s in np.unique(starts)}
 
     fp = np.zeros(n)                  # unnormalized f_{m+2}
-    fc = np.ones(n)                   # unnormalized f_{m+1}
+    fc = np.zeros(n)                  # unnormalized f_{m+1}; 1 from the start
     shift = np.zeros(n, dtype=np.int64)
     store_m = np.zeros((m_max + 1, n))
     store_e = np.zeros((m_max + 1, n), dtype=np.int64)
     # even-order accumulator for the normalization sum, kept in scaled form
     acc = np.zeros(n)
-    if start % 2 == 0:
-        acc[:] = 2.0 * fc
 
     inv_x = 1.0 / x
-    for m in range(start - 1, -1, -1):
+    for m in range(int(starts.max()) - 1, -1, -1):
+        cols = begin.get(m + 1)
+        if cols is not None:
+            fc[cols] = 1.0
+            if (m + 1) % 2 == 0:
+                acc[cols] = 2.0
         fn = (2.0 * (m + 1)) * inv_x * fc - fp
         big = np.abs(fn) > _RESCALE_THRESHOLD
-        if np.any(big):
+        if big.any():
             fn[big] = np.ldexp(fn[big], -_RESCALE_SHIFT)
             fc[big] = np.ldexp(fc[big], -_RESCALE_SHIFT)
             acc[big] = np.ldexp(acc[big], -_RESCALE_SHIFT)
@@ -184,7 +184,7 @@ def bessel_y_grid_scaled(m_max: int, x):
         for m in range(1, m_max):
             yn = (2.0 * m) * inv_x * yb - ya
             big = np.abs(yn) > _RESCALE_THRESHOLD
-            if np.any(big):
+            if big.any():
                 yn[big] = np.ldexp(yn[big], -_RESCALE_SHIFT)
                 yb[big] = np.ldexp(yb[big], -_RESCALE_SHIFT)
                 shift[big] += _RESCALE_SHIFT
@@ -196,8 +196,12 @@ def bessel_y_grid_scaled(m_max: int, x):
 
 def hankel1_grid_scaled(m_max: int, x):
     """H_m^(1)(x_i) = J_m + i Y_m, combined order-by-order in scaled form."""
-    jm, je = bessel_j_grid_scaled(m_max, x)
-    ym, ye = bessel_y_grid_scaled(m_max, x)
+    return _hankel_from(*bessel_j_grid_scaled(m_max, x),
+                        *bessel_y_grid_scaled(m_max, x))
+
+
+def _hankel_from(jm, je, ym, ye):
+    """Scaled J + i Y from scaled J and Y tables of the same shape."""
     e = np.maximum(je, ye)
     mant = np.ldexp(jm, np.clip(je - e, -1500, 0).astype(np.int32)) \
         + 1j * np.ldexp(ym, np.clip(ye - e, -1500, 0).astype(np.int32))

@@ -11,6 +11,7 @@ import pytest
 
 import memscat
 from memscat import Cylinder, PlaneWave, Scene, dumps_scene, loads_scene
+from memscat import cli
 from memscat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -147,6 +148,19 @@ class TestSolve:
         assert "dimension 20099 exceeds cap 20000" in err
         assert peak < 2 ** 20
         assert not (tmp_path / "row_solution.csv").exists()
+
+    @pytest.mark.parametrize("command", [["solve"], ["field", "--xlim", "-1",
+                                                    "1", "--ylim", "-1", "1"]])
+    def test_out_of_memory_exits_numerical(self, capsys, tmp_path,
+                                           monkeypatch, command):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "assemble_system", exhausted)
+        code, out, err = run(capsys, command[0], "far", "-N", "4",
+                             *command[1:], "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "out of memory" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unwritable_outdir_exits_io(self, capsys, tmp_path):
         blocker = tmp_path / "not_a_dir"

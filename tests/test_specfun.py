@@ -186,10 +186,10 @@ def check_envelope(args=(1.0, 5.0, 20.0), band: float = 100.0) -> float:
     for x in args:
         m_lo = math.ceil(x) + 5
         m_hi = 100
-        log_j = specfun.scaled_log_abs(
-            *specfun.bessel_j_grid_scaled(m_hi, x))[:, 0]
-        log_h = specfun.scaled_log_abs(
-            *specfun.hankel1_grid_scaled(m_hi, x))[:, 0]
+        jm, je = specfun.bessel_j_grid_scaled(m_hi, x)
+        hm, he = specfun.hankel1_grid_scaled(m_hi, x)
+        log_j = np.log(np.abs(jm[:, 0])) + je[:, 0] * math.log(2.0)
+        log_h = np.log(np.abs(hm[:, 0])) + he[:, 0] * math.log(2.0)
         ms = np.arange(m_lo, m_hi + 1, dtype=float)
         growth = ms * (np.log(2.0 * ms) - 1.0 - math.log(x))
         for log_c, sgn in ((log_j[m_lo:], 1.0), (log_h[m_lo:], -1.0)):
@@ -204,8 +204,8 @@ def check_hankel_monotonicity(order_max: int = 30,
                               args=(0.5, 2.0, 10.0)) -> None:
     """|H_{|m-n|}(x)| <= |H_{m+n}(x)| for fixed x: |H_m| grows with order."""
     for x in args:
-        log_h = specfun.scaled_log_abs(
-            *specfun.hankel1_grid_scaled(2 * order_max, x))[:, 0]
+        hm, he = specfun.hankel1_grid_scaled(2 * order_max, x)
+        log_h = np.log(np.abs(hm[:, 0])) + he[:, 0] * math.log(2.0)
         for m in range(order_max + 1):
             for n in range(order_max + 1):
                 assert log_h[abs(m - n)] <= log_h[m + n] + 1e-12
@@ -278,6 +278,18 @@ class TestScaledSequences:
                 assert h[m, i] == pytest.approx(specfun.hankel1(m, x),
                                                 rel=1e-12)
 
+    @pytest.mark.parametrize("order", [0, 5, 26, 100, 200])
+    def test_columns_do_not_depend_on_the_batch(self, order):
+        # each argument starts its own Miller recurrence, so a column of a
+        # batched table is bitwise the one-argument table
+        xs = [1e-8, 0.05, 0.7, 3.0, 40.0, 120.0, 999.0]
+        for grid in (specfun.bessel_j_grid_scaled, specfun.hankel1_grid_scaled):
+            mant, exp2 = grid(order, xs)
+            for i, x in enumerate(xs):
+                one_m, one_e = grid(order, x)
+                assert np.array_equal(mant[:, i], one_m[:, 0])
+                assert np.array_equal(exp2[:, i], one_e[:, 0])
+
     def test_scaled_to_float_round_trip(self):
         vals = np.array([1.5e-200, -2.75, 3.25e180])
         mant, exp2 = np.frexp(vals)
@@ -286,7 +298,7 @@ class TestScaledSequences:
 
     def test_scaled_log_abs(self):
         mant, exp2 = specfun.bessel_j_grid_scaled(100, 3.0)
-        log_j100 = specfun.scaled_log_abs(mant, exp2)[100, 0]
+        log_j100 = math.log(abs(mant[100, 0])) + exp2[100, 0] * math.log(2.0)
         assert log_j100 == pytest.approx(math.log(4.2603601811326252e-141),
                                          rel=1e-12)
 
