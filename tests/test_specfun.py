@@ -283,7 +283,8 @@ class TestScaledSequences:
         # each argument starts its own Miller recurrence, so a column of a
         # batched table is bitwise the one-argument table
         xs = [1e-8, 0.05, 0.7, 3.0, 40.0, 120.0, 999.0]
-        for grid in (specfun.bessel_j_grid_scaled, specfun.hankel1_grid_scaled):
+        for grid in (specfun.bessel_j_grid_scaled, specfun.bessel_y_grid_scaled,
+                     specfun.hankel1_grid_scaled):
             mant, exp2 = grid(order, xs)
             for i, x in enumerate(xs):
                 one_m, one_e = grid(order, x)
