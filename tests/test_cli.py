@@ -11,7 +11,6 @@ import pytest
 
 import memscat
 from memscat import Cylinder, PlaneWave, Scene, dumps_scene, loads_scene
-from memscat import cli
 from memscat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -155,9 +154,9 @@ class TestSolve:
                                            monkeypatch, command):
         def exhausted(*args):
             raise MemoryError
-        monkeypatch.setattr(cli, "assemble_system", exhausted)
-        code, out, err = run(capsys, command[0], "far", "-N", "4",
-                             *command[1:], "-o", str(tmp_path))
+        monkeypatch.setattr(memscat.cli, "assemble_system", exhausted)
+        code, _, err = run(capsys, command[0], "far", "-N", "4",
+                           *command[1:], "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
         assert "out of memory" in err
         assert not list(tmp_path.iterdir())
