@@ -22,15 +22,14 @@ and ceiling 1e-2 (pre-asymptotic shoulder).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (NORM_L0, BlockOperator, CoefficientVector,
-                       assemble_system, mode_range, mode_weights)
+                       assemble_system, mode_range)
 from .errors import InsufficientPointsError, NonConvergenceError
-from .scene import PairGeometry, PointSource, Scene, pairwise_geometry
+from .scene import PointSource, Scene, pairwise_geometry
 from .solver import solve
 
 REFERENCE_MARGIN = 5
@@ -41,10 +40,8 @@ THEOREM_SLACK_PER_N = 0.05
 # first-order validity heuristic: surface gap between the two largest
 # cylinders must exceed this multiple of the second radius
 BREAKDOWN_GAP_FACTOR = 1.25
-
-
-class NonContractiveWarning(UserWarning):
-    """An envelope base is >= 1; the bound does not decay for this scene."""
+# sigma_series_raw stops once a term falls below this fraction of the sum
+_SIGMA_RTOL = 1e-18
 
 
 @dataclass
@@ -59,8 +56,6 @@ class RateFit:
 
 @dataclass
 class ConvergenceReport:
-    scene_id: str
-    norm: str
     truncations: np.ndarray
     errors: np.ndarray
     gamma1: np.ndarray
@@ -82,13 +77,18 @@ class BreakdownReport:
 # envelopes
 # ---------------------------------------------------------------------------
 
-def _envelope_base(scene: Scene, geom: PairGeometry, which: int) -> float:
-    """Largest per-N base of gamma1 (which=1) or gamma2 (which=2)."""
+def _envelope_base(scene: Scene, which: int) -> float:
+    """Largest per-N base of gamma1 (which=1) or gamma2 (which=2).
+
+    Below 1 for every scene `validate_scene` accepts: disjoint circles give
+    a_p < d_pq - a_q, and a source outside every cylinder gives a_p < d_p,x0.
+    """
     radii = scene.radii()
     point = isinstance(scene.incident, PointSource)
     if scene.n_cylinders == 1 and not point:
         # no pair terms and no source terms: the bound is vacuous
         return 0.0
+    geom = pairwise_geometry(scene)
     off = ~np.eye(scene.n_cylinders, dtype=bool)
     p, q = np.nonzero(off)
     a_p, a_q, d = radii[p], radii[q], geom.distances[off]
@@ -101,23 +101,18 @@ def _envelope_base(scene: Scene, geom: PairGeometry, which: int) -> float:
         bases = a_p / d
     if point:
         bases = np.concatenate([radii / geom.source_distances, bases])
-    base = float(np.max(bases))
-    if base >= 1.0:
-        warnings.warn(
-            f"gamma{which} base {base:.4g} >= 1: the envelope does not decay "
-            "for this scene", NonContractiveWarning, stacklevel=3)
-    return base
+    return float(np.max(bases))
 
 
-def gamma1(scene: Scene, geom: PairGeometry, truncations):
+def gamma1(scene: Scene, truncations):
     """Worst-case decay envelope; scalar in, scalar out (arrays likewise)."""
-    base = _envelope_base(scene, geom, 1)
+    base = _envelope_base(scene, 1)
     return base ** np.asarray(truncations, dtype=np.float64)
 
 
-def gamma2(scene: Scene, geom: PairGeometry, truncations):
+def gamma2(scene: Scene, truncations):
     """First-order-scattering decay envelope."""
-    base = _envelope_base(scene, geom, 2)
+    base = _envelope_base(scene, 2)
     return base ** np.asarray(truncations, dtype=np.float64)
 
 
@@ -133,9 +128,8 @@ def approximation_error(reference: CoefficientVector, approx: CoefficientVector,
                          "approximation")
     if approx.truncation > reference.truncation:
         raise ValueError("approximation band exceeds the reference band")
-    diff = reference.data - approx.zero_pad(reference.truncation).data
-    w = mode_weights(reference.truncation, norm)
-    return float(np.sqrt(np.sum(w[None, :] * np.abs(diff) ** 2)))
+    return CoefficientVector(
+        reference.data - approx.zero_pad(reference.truncation).data).norm(norm)
 
 
 def _first_order_surrogate(op_ref: BlockOperator, rhs_ref: CoefficientVector,
@@ -157,32 +151,31 @@ def _first_order_surrogate(op_ref: BlockOperator, rhs_ref: CoefficientVector,
 
 def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
                       backend: str = "dense", include_surrogate: bool = False,
-                      scene_id: str = "scene",
                       n_ref: int | None = None) -> ConvergenceReport:
     """Measure E(N) over a truncation ladder against a reference solve.
 
     The system is assembled once, at n_ref; the system at each N is its
     central |m|, |n| <= N slice, since the entries do not depend on the
-    truncation.
+    truncation.  Raises NonConvergenceError when any solve, the reference
+    or one at some N, reports that it did not converge.
     """
     truncations = np.asarray(sorted(int(n) for n in truncations), dtype=np.int64)
     if truncations.size == 0:
         raise ValueError("empty truncation list")
     if truncations[0] < 0:
         raise ValueError("truncations must be >= 0")
-    geom = pairwise_geometry(scene)
     if n_ref is None:
         n_ref = int(truncations[-1]) + REFERENCE_MARGIN
     op_ref, rhs_ref = assemble_system(scene, n_ref)
-    ref = solve(op_ref, rhs_ref, backend=backend)
+    ref = _converged_solution(op_ref, rhs_ref, backend)
     errors = np.array([
         approximation_error(
-            ref.solution,
-            solve(op_ref.restrict(int(n)), rhs_ref.restrict(int(n)),
-                  backend=backend).solution, norm)
+            ref,
+            _converged_solution(op_ref.restrict(int(n)),
+                                rhs_ref.restrict(int(n)), backend), norm)
         for n in truncations])
-    g1 = gamma1(scene, geom, truncations)
-    g2 = gamma2(scene, geom, truncations)
+    g1 = gamma1(scene, truncations)
+    g2 = gamma2(scene, truncations)
     surrogate = None
     if include_surrogate:
         surrogate = np.array([_first_order_surrogate(op_ref, rhs_ref, int(n), norm)
@@ -198,8 +191,18 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
                                    floor=FIT_FLOOR, ceiling=FIT_CEILING)
         except InsufficientPointsError:
             rates[name] = None
-    return ConvergenceReport(scene_id, norm, truncations, errors, g1, g2,
-                             surrogate, n_ref, rates)
+    return ConvergenceReport(truncations, errors, g1, g2, surrogate, n_ref,
+                             rates)
+
+
+def _converged_solution(op: BlockOperator, rhs: CoefficientVector,
+                        backend: str) -> CoefficientVector:
+    res = solve(op, rhs, backend=backend)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"{backend} solve at N = {op.truncation} did not converge "
+            f"(residual {res.residual:.3e})")
+    return res.solution
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +268,10 @@ def onset_truncation(report: ConvergenceReport, factor: float = 10.0):
 # bound-side series
 # ---------------------------------------------------------------------------
 
-def sigma_series(scene: Scene, geom: PairGeometry, p: int, q: int, m: int,
-                 field_kind: str = "standard", n_max: int = 100000) -> float:
-    """Coupling-tail envelope sum for the ordered pair (p, q) at order m.
-
-    field_kind selects the per-mode weight of the summed-out index:
-    "standard" (worst case), "point_source", or "plane_wave"; the latter two
-    fold in the decay of the incident coefficients on cylinder q.
-    """
-    radii = scene.radii()
-    d_qx0 = None
-    if field_kind == "point_source":
-        d_qx0 = float(geom.source_distances[q])
-    return sigma_series_raw(m, float(radii[p]), float(radii[q]),
-                            float(geom.distances[p, q]), kind=field_kind,
-                            d_qx0=d_qx0, wavenumber=scene.wavenumber,
-                            n_max=n_max)
-
-
 def sigma_series_raw(m: int, a_p: float, a_q: float, d: float,
                      kind: str = "standard", d_qx0: float | None = None,
-                     wavenumber: float | None = None, n_max: int = 100000,
-                     rtol: float = 1e-18) -> float:
+                     wavenumber: float | None = None,
+                     n_max: int = 100000) -> float:
     """Sum over n >= 1 of the coupling-tail envelope terms
 
       standard:      ((m+n)/m)^2m ((m+n)/n)^2n (a_p/d)^2m (a_q/d)^2n
@@ -333,7 +318,7 @@ def sigma_series_raw(m: int, a_p: float, a_q: float, d: float,
         else:
             growth_run = 0
         prev_term = term
-        if term < rtol * total:
+        if term < _SIGMA_RTOL * total:
             return float(total)
     raise NonConvergenceError(f"sigma series needed more than {n_max} terms")
 
@@ -376,10 +361,9 @@ def write_report_csv(report: ConvergenceReport, path) -> None:
 
 def write_bounds_csv(scene: Scene, truncations, path) -> None:
     """Envelope tables without any solving: header N,gamma1,gamma2."""
-    geom = pairwise_geometry(scene)
     truncations = np.asarray(sorted(int(n) for n in truncations))
-    g1 = gamma1(scene, geom, truncations)
-    g2 = gamma2(scene, geom, truncations)
+    g1 = gamma1(scene, truncations)
+    g2 = gamma2(scene, truncations)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("N,gamma1,gamma2\n")
         for i, n in enumerate(truncations):

@@ -151,10 +151,6 @@ class BlockOperator:
     def block_size(self) -> int:
         return 2 * self.truncation + 1
 
-    @property
-    def dim(self) -> int:
-        return self.n_cylinders * self.block_size
-
     def matvec(self, vec: CoefficientVector) -> CoefficientVector:
         if vec.truncation != self.truncation or vec.n_cylinders != self.n_cylinders:
             raise ValueError("operator/vector shape mismatch")
@@ -294,6 +290,8 @@ def _fill_pair_blocks(matrix: np.ndarray, t: _ModeTables, geom: PairGeometry,
 
 
 def _check_dense_dim(M: int, N: int) -> int:
+    if N < 0:
+        raise ValueError(f"truncation N must be >= 0, got N = {N}")
     dim = M * (2 * N + 1)
     if dim > DENSE_DIM_CAP:
         raise CapabilityError(

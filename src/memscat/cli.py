@@ -58,6 +58,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _truncation_range(args) -> range:
+    """N = --n-min .. --n-max; rejects a negative or empty range."""
+    if args.n_min < 0:
+        raise ValueError(f"--n-min must be >= 0, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max must be >= --n-min, got --n-min "
+                         f"{args.n_min} and --n-max {args.n_max}")
+    return range(args.n_min, args.n_max + 1)
+
+
 def _load_scene(token: str, wavenumber: float | None):
     if token in presets.PRESET_NAMES:
         sc = presets.preset_scene(token, wavenumber=wavenumber
@@ -138,9 +148,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     sc, stem = _load_scene(args.scene, args.wavenumber)
     scene_mod.require_valid(sc)
-    if args.n_max < args.n_min:
-        print("error: --n-max must be >= --n-min", file=sys.stderr)
-        return EXIT_VALIDATION
+    truncations = _truncation_range(args)
     margin = analysis.REFERENCE_MARGIN
     if args.n_max + margin > TRUNCATION_CAP:
         raise CapabilityError(
@@ -157,9 +165,8 @@ def _cmd_sweep(args) -> int:
         sck = scene_mod.Scene(cylinders=sc.cylinders, wavenumber=float(k),
                               incident=sc.incident)
         rep = analysis.convergence_sweep(
-            sck, range(args.n_min, args.n_max + 1), norm=args.norm,
-            backend=args.backend, include_surrogate=args.first_order,
-            scene_id=f"{stem}_k{k:g}")
+            sck, truncations, norm=args.norm, backend=args.backend,
+            include_surrogate=args.first_order)
         csv_path = _outpath(args, f"{stem}_sweep_k{k:g}.csv")
         analysis.write_report_csv(rep, csv_path)
         gp_path = _outpath(args, f"{stem}_sweep_k{k:g}.gp")
@@ -181,8 +188,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     sc, stem = _load_scene(args.scene, args.wavenumber)
     scene_mod.require_valid(sc)
+    truncations = _truncation_range(args)
     path = _outpath(args, f"{stem}_bounds.csv")
-    analysis.write_bounds_csv(sc, range(args.n_min, args.n_max + 1), path)
+    analysis.write_bounds_csv(sc, truncations, path)
     print(f"wrote {path}")
     return EXIT_OK
 

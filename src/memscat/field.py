@@ -41,11 +41,13 @@ import scipy.special
 from . import specfun
 from .assembly import CoefficientVector
 from .errors import CapabilityError, InteriorPointError
-from .scene import PlaneWave, PointSource, Scene
+from .scene import PlaneWave, Scene
 
 # points with r_p < a_p (1 + this) count as interior for evaluation purposes
 INTERIOR_MARGIN = 1e-9
 BOUNDARY_OFFSET = 1e-6
+# boundary_residual samples each circle at this many equispaced angles
+_BOUNDARY_SAMPLES = 360
 # points per block of evaluation and CSV output; 8192 complex values stay
 # under numpy's threshold for eliding temporaries (see the module docstring)
 _BLOCK_POINTS = 8192
@@ -181,7 +183,6 @@ def single_layer_field_quadrature(scene: Scene, phi: CoefficientVector,
 
 
 def boundary_residual(scene: Scene, phi: CoefficientVector,
-                      samples_per_cylinder: int = 360,
                       offset: float = BOUNDARY_OFFSET) -> float:
     """Max |total field| sampled just outside the boundaries; zero for the
     exact solution.
@@ -192,7 +193,7 @@ def boundary_residual(scene: Scene, phi: CoefficientVector,
     circles (a finite expression, continuous up to r = a_p), which measures
     pure truncation-plus-solve error.
     """
-    t = 2.0 * np.pi * np.arange(samples_per_cylinder) / samples_per_cylinder
+    t = 2.0 * np.pi * np.arange(_BOUNDARY_SAMPLES) / _BOUNDARY_SAMPLES
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
     # all samples in one evaluation: each value depends on its own point alone
     pts = np.concatenate([np.asarray(cyl.center)

@@ -14,9 +14,6 @@ apart:
     touching  two unit cylinders with a 1e-3 surface gap; the parallel
               reflections iteration exhibits sustained update growth here
               and is flagged divergent, while dense and GMRES still agree.
-
-Wavenumber presets are 0.6, 3 and 15; the largest sits near the round-off
-floor of reference sweeps and the CLI warns when it is requested.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 from .scene import Cylinder, Incident, PointSource, Scene
 
 PRESET_RADII = (2.0, 1.0, 0.5)
-PRESET_WAVENUMBERS = (0.6, 3.0, 15.0)
 DEFAULT_SOURCE = (-20.0, -25.0)
 # reference sweeps at or above this wavenumber sit near round-off
 HIGH_WAVENUMBER = 15.0

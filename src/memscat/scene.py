@@ -227,8 +227,3 @@ def loads_scene(text: str) -> Scene:
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_scene(fh.read())
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_scene(scene))

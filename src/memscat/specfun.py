@@ -194,12 +194,6 @@ def bessel_y_grid_scaled(m_max: int, x):
     return _renormalize(mant, exp2)
 
 
-def hankel1_grid_scaled(m_max: int, x):
-    """H_m^(1)(x_i) = J_m + i Y_m, combined order-by-order in scaled form."""
-    return _hankel_from(*bessel_j_grid_scaled(m_max, x),
-                        *bessel_y_grid_scaled(m_max, x))
-
-
 def _hankel_from(jm, je, ym, ye):
     """Scaled J + i Y from scaled J and Y tables of the same shape."""
     e = np.maximum(je, ye)

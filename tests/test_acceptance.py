@@ -21,7 +21,6 @@ from memscat import (
     convergence_sweep,
     far_field_amplitude,
     gamma1,
-    pairwise_geometry,
     preset_scene,
     scattered_field,
     solve,
@@ -41,8 +40,7 @@ _sweeps: dict = {}
 def sweep(preset: str, k: float = 0.6):
     if (preset, k) not in _sweeps:
         _sweeps[preset, k] = convergence_sweep(
-            preset_scene(preset, wavenumber=k), TRUNCATIONS, n_ref=N_REF,
-            scene_id=preset)
+            preset_scene(preset, wavenumber=k), TRUNCATIONS, n_ref=N_REF)
     return _sweeps[preset, k]
 
 
@@ -53,8 +51,7 @@ def report(num: int, ok: bool, detail: str):
 
 def test_criterion_01_far_rate_matches_worst_case_envelope():
     start = time.perf_counter()
-    rep = convergence_sweep(preset_scene("far"), TRUNCATIONS, n_ref=N_REF,
-                            scene_id="far")
+    rep = convergence_sweep(preset_scene("far"), TRUNCATIONS, n_ref=N_REF)
     elapsed = time.perf_counter() - start
     _sweeps["far", 0.6] = rep
     s_e = rep.rates["E"].slope
@@ -68,8 +65,7 @@ def test_criterion_01_far_rate_matches_worst_case_envelope():
 
 def test_criterion_02_close_rate_prefers_refined_envelope():
     start = time.perf_counter()
-    rep = convergence_sweep(preset_scene("close"), TRUNCATIONS, n_ref=N_REF,
-                            scene_id="close")
+    rep = convergence_sweep(preset_scene("close"), TRUNCATIONS, n_ref=N_REF)
     elapsed = time.perf_counter() - start
     _sweeps["close", 0.6] = rep
     s_e = rep.rates["E"].slope
@@ -100,8 +96,7 @@ def test_fitted_rate_respects_the_worst_case_envelope():
     for k in (0.6, 3.0):
         for preset in ("far", "moderate", "close", "touching"):
             sc = preset_scene(preset, wavenumber=k)
-            allowed = (math.log(gamma1(sc, pairwise_geometry(sc), 1))
-                       + THEOREM_SLACK_PER_N)
+            allowed = math.log(gamma1(sc, 1)) + THEOREM_SLACK_PER_N
             slope = sweep(preset, k).rates["E"].slope
             ok &= slope <= allowed
             details.append(f"{preset} k={k:g}: {slope:+.3f} <= "
@@ -121,7 +116,7 @@ def test_criterion_04_single_cylinder_truncation_is_exact():
         window = g[N_REF - n:N_REF + n + 1]
         worst_sol = max(worst_sol,
                         float(np.max(np.abs(phi.data[0] - window))))
-    rep = convergence_sweep(sc, range(0, 16), n_ref=N_REF, scene_id="single")
+    rep = convergence_sweep(sc, range(0, 16), n_ref=N_REF)
     worst_err = 0.0
     for i, n in enumerate(rep.truncations):
         tail = g.copy()
@@ -242,7 +237,7 @@ def test_criterion_10_onset_truncation_grows_with_wavenumber():
     onsets = {}
     for k in (0.6, 3.0):
         rep = convergence_sweep(preset_scene("moderate", wavenumber=k),
-                                range(0, 26), scene_id=f"moderate_k{k:g}")
+                                range(0, 26))
         onsets[k] = onset_truncation(rep, factor=10.0)
     ok = (onsets[0.6] is not None and onsets[3.0] is not None
           and onsets[3.0] > onsets[0.6])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memscat import (
@@ -21,12 +21,11 @@ from memscat import (
     gamma2,
     preset_scene,
     approximation_error,
-    sigma_series,
     solve,
+    validate_scene,
 )
 from memscat.analysis import (
     REFERENCE_MARGIN,
-    NonContractiveWarning,
     breakdown_check,
     onset_truncation,
     sigma_series_raw,
@@ -47,56 +46,68 @@ def plane_pair(d, r1=1.0, r2=1.0, k=0.6):
 class TestEnvelopes:
     def test_plane_pair_gamma1(self):
         sc = plane_pair(4.0)
-        geom = pairwise_geometry(sc)
-        assert gamma1(sc, geom, 2) == pytest.approx((1.0 / 3.0) ** 2,
-                                                    rel=1e-14)
-        assert gamma1(sc, geom, 0) == 1.0
+        assert gamma1(sc, 2) == pytest.approx((1.0 / 3.0) ** 2, rel=1e-14)
+        assert gamma1(sc, 0) == 1.0
 
     def test_plane_pair_gamma2(self):
         sc = plane_pair(4.0)
-        geom = pairwise_geometry(sc)
-        assert gamma2(sc, geom, 1) == pytest.approx(0.25, rel=1e-14)
+        assert gamma2(sc, 1) == pytest.approx(0.25, rel=1e-14)
 
     def test_point_source_gamma2_pair_term(self):
         # a_p d_qx0 / (d d_qx0 - a_q^2) with a=1, d=4, d_qx0=10 gives 10/39.
         sc = Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((4.0, 0.0), 1.0)),
                    0.6, PointSource((4.0, 10.0)))
-        geom = pairwise_geometry(sc)
-        assert gamma2(sc, geom, 1) == pytest.approx(10.0 / 39.0, rel=1e-14)
+        assert gamma2(sc, 1) == pytest.approx(10.0 / 39.0, rel=1e-14)
 
     def test_point_source_term_dominates_when_close(self):
         sc = Scene((Cylinder((0.0, 0.0), 0.9),), 0.6, PointSource((1.0, 0.0)))
-        geom = pairwise_geometry(sc)
-        assert gamma1(sc, geom, 1) == pytest.approx(0.9, rel=1e-14)
-        assert gamma2(sc, geom, 3) == pytest.approx(0.9 ** 3, rel=1e-14)
+        assert gamma1(sc, 1) == pytest.approx(0.9, rel=1e-14)
+        assert gamma2(sc, 3) == pytest.approx(0.9 ** 3, rel=1e-14)
 
     def test_distant_source_approaches_plane_envelope(self):
         near = Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((4.0, 0.0), 1.0)),
                      0.6, PointSource((4.0, 1e8)))
-        geom = pairwise_geometry(near)
         plane = plane_pair(4.0)
-        target = gamma2(plane, pairwise_geometry(plane), 1)
-        assert gamma2(near, geom, 1) == pytest.approx(target, rel=1e-6)
+        target = gamma2(plane, 1)
+        assert gamma2(near, 1) == pytest.approx(target, rel=1e-6)
 
     def test_single_cylinder_plane_wave_is_vacuous(self):
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PlaneWave(0.0))
-        geom = pairwise_geometry(sc)
-        assert gamma1(sc, geom, 5) == 0.0
-        assert gamma1(sc, geom, 0) == 1.0
+        assert gamma1(sc, 5) == 0.0
+        assert gamma1(sc, 0) == 1.0
 
     def test_array_evaluation_is_elementwise(self):
         sc = plane_pair(4.0)
-        geom = pairwise_geometry(sc)
-        vals = gamma1(sc, geom, [0, 1, 2, 3])
+        vals = gamma1(sc, [0, 1, 2, 3])
         assert np.allclose(vals, (1.0 / 3.0) ** np.arange(4), rtol=1e-14)
 
-    def test_non_contractive_geometry_warns(self):
-        # Validation would reject this overlap; the envelope itself just
-        # reports a useless (non-decaying) base.
-        sc = plane_pair(1.5)
-        geom = pairwise_geometry(sc)
-        with pytest.warns(NonContractiveWarning):
-            gamma1(sc, geom, 3)
+    @given(st.lists(st.tuples(st.floats(min_value=0.1, max_value=3.0),
+                              st.floats(min_value=1e-9, max_value=5.0),
+                              st.floats(min_value=0.0, max_value=2 * math.pi)),
+                    min_size=2, max_size=4),
+           st.one_of(st.builds(PlaneWave, st.floats(min_value=0.0,
+                                                    max_value=2 * math.pi)),
+                     st.builds(PointSource,
+                               st.tuples(st.floats(-30.0, 30.0),
+                                         st.floats(-30.0, 30.0)))))
+    @settings(max_examples=150, deadline=None)
+    def test_validated_scenes_have_contractive_envelopes(self, chain,
+                                                         incident):
+        # Each cylinder sits at the given surface gap from the previous one,
+        # in the given direction; validation screens the other pairs and
+        # the source.
+        cyls, prev = [], None
+        for radius, gap, angle in chain:
+            center = (0.0, 0.0)
+            if prev is not None:
+                step = prev.radius + radius + gap
+                center = (prev.center[0] + step * math.cos(angle),
+                          prev.center[1] + step * math.sin(angle))
+            prev = Cylinder(center, radius)
+            cyls.append(prev)
+        sc = Scene(tuple(cyls), 0.6, incident)
+        assume(validate_scene(sc).ok)
+        assert gamma2(sc, 1) <= gamma1(sc, 1) < 1.0
 
     @given(st.floats(min_value=2.3, max_value=40.0),
            st.floats(min_value=0.1, max_value=1.0),
@@ -106,9 +117,8 @@ class TestEnvelopes:
     def test_gamma2_never_exceeds_gamma1(self, d, r1, r2, src_y):
         sc = Scene((Cylinder((0.0, 0.0), r1), Cylinder((d, 0.0), r2)),
                    0.6, PointSource((d, src_y)))
-        geom = pairwise_geometry(sc)
         for n in (1, 3, 7):
-            assert gamma2(sc, geom, n) <= gamma1(sc, geom, n) * (1 + 1e-12)
+            assert gamma2(sc, n) <= gamma1(sc, n) * (1 + 1e-12)
 
 
 class TestRateFit:
@@ -191,7 +201,7 @@ class TestReferenceAndError:
 class TestConvergenceSweep:
     def test_single_cylinder_error_is_the_exact_tail(self):
         sc = Scene((Cylinder((0.0, 0.0), 1.0),), 0.6, PointSource((-5.0, 2.0)))
-        report = convergence_sweep(sc, range(0, 11), scene_id="single")
+        report = convergence_sweep(sc, range(0, 11))
         _, rhs = assemble_system(sc, report.n_ref)
         g = rhs.data[0]
         n_ref = report.n_ref
@@ -201,8 +211,7 @@ class TestConvergenceSweep:
             assert abs(report.errors[i] - np.linalg.norm(tail)) < 1e-12
 
     def test_errors_decay_and_envelopes_bound_the_shape(self, far_scene):
-        report = convergence_sweep(far_scene, range(1, 22),
-                                   scene_id="far")
+        report = convergence_sweep(far_scene, range(1, 22))
         e = report.errors
         assert e[9] / e[19] > 10.0
         assert np.all(e > 0.0)
@@ -233,6 +242,15 @@ class TestConvergenceSweep:
             convergence_sweep(far_scene, [])
         with pytest.raises(ValueError):
             convergence_sweep(far_scene, [-2, 1])
+
+    def test_non_converging_backend_raises(self):
+        # the reflections iteration diverges on the near-touching preset,
+        # here already at the reference truncation 10 + REFERENCE_MARGIN
+        with pytest.raises(NonConvergenceError,
+                           match="reflections solve at N = 15 did not "
+                                 "converge"):
+            convergence_sweep(preset_scene("touching"), range(1, 11),
+                              backend="reflections")
 
     def test_onset_moves_up_with_wavenumber(self):
         low = convergence_sweep(preset_scene("moderate", wavenumber=0.6),
@@ -280,9 +298,10 @@ class TestSigmaSeries:
         s = sigma_series_raw(1, 1.0, 1.0, 4.0)
         assert 0.0625 < s < 0.08
 
-    def test_root_approaches_worst_case_base(self, moderate_scene):
-        geom = pairwise_geometry(moderate_scene)
-        s = sigma_series(moderate_scene, geom, 0, 1, 40)
+    def test_root_approaches_worst_case_base(self):
+        # the first two cylinders of the moderate preset: radii 2 and 1,
+        # centres 6 apart
+        s = sigma_series_raw(40, 2.0, 1.0, 6.0)
         root = s ** (1.0 / 80.0)
         assert root == pytest.approx(2.0 / (6.0 - 1.0), rel=0.05)
 
@@ -295,13 +314,12 @@ class TestSigmaSeries:
             assert s <= 2.0 * m * (2.0 / 6.0) ** (2 * m) * f
 
     def test_incident_kinds_only_add_decay(self, moderate_scene):
-        geom = pairwise_geometry(moderate_scene)
-        std = sigma_series(moderate_scene, geom, 0, 1, 12)
-        pt = sigma_series(moderate_scene, geom, 0, 1, 12,
-                          field_kind="point_source")
-        plane_scene = Scene(moderate_scene.cylinders, 0.6, PlaneWave(0.0))
-        pl = sigma_series(plane_scene, pairwise_geometry(plane_scene),
-                          0, 1, 12, field_kind="plane_wave")
+        d_qx0 = float(pairwise_geometry(moderate_scene).source_distances[1])
+        std = sigma_series_raw(12, 2.0, 1.0, 6.0)
+        pt = sigma_series_raw(12, 2.0, 1.0, 6.0, kind="point_source",
+                              d_qx0=d_qx0)
+        pl = sigma_series_raw(12, 2.0, 1.0, 6.0, kind="plane_wave",
+                              wavenumber=0.6)
         assert pt < std
         assert pl < std
 
@@ -352,7 +370,7 @@ class TestBreakdownCheck:
 
 class TestReportOutput:
     def test_report_csv_schema(self, tmp_path, far_scene):
-        report = convergence_sweep(far_scene, range(1, 8), scene_id="far")
+        report = convergence_sweep(far_scene, range(1, 8))
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         lines = path.read_text().splitlines()

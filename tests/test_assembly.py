@@ -20,7 +20,6 @@ from memscat import (
     PointSource,
     Scene,
     assemble_system,
-    preset_scene,
     solve,
 )
 from memscat.assembly import (
@@ -278,8 +277,7 @@ class TestSystemAssembly:
 
         def refuse(*args):
             raise AssertionError("a table was built")
-        for name in ("hankel1_grid_scaled", "bessel_j_grid_scaled",
-                     "bessel_y_grid_scaled"):
+        for name in ("bessel_j_grid_scaled", "bessel_y_grid_scaled"):
             monkeypatch.setattr(specfun, name, refuse)
         with pytest.raises(CapabilityError, match=r"N = 101 .*N <= 100"):
             assemble_system(far_scene, 101)
@@ -299,8 +297,7 @@ class TestSystemAssembly:
                                                       monkeypatch):
         def refuse(*args):
             raise AssertionError("a table was built")
-        for name in ("hankel1_grid_scaled", "bessel_j_grid_scaled",
-                     "bessel_y_grid_scaled"):
+        for name in ("bessel_j_grid_scaled", "bessel_y_grid_scaled"):
             monkeypatch.setattr(specfun, name, refuse)
         for assemble in (assemble_system, assemble_raw):
             with pytest.raises(CapabilityError) as exc:
@@ -314,19 +311,17 @@ class TestSystemAssembly:
     def test_one_j_and_one_y_recurrence(self, monkeypatch, assemble, incident,
                                         n_cylinders):
         # the radii, pair distances and source distances share one J and
-        # one Y call; no H is evaluated on its own
+        # one Y call
         sc = Scene(tuple(Cylinder((2.5 * i, 0.3 * i), 0.5)
                          for i in range(n_cylinders)), 1.1, incident)
-        calls = {"hankel1_grid_scaled": 0, "bessel_j_grid_scaled": 0,
-                 "bessel_y_grid_scaled": 0}
+        calls = {"bessel_j_grid_scaled": 0, "bessel_y_grid_scaled": 0}
         for name in calls:
             def counted(*args, _inner=getattr(specfun, name), _name=name):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(specfun, name, counted)
         assemble(sc, 6)
-        assert calls == {"hankel1_grid_scaled": 0, "bessel_j_grid_scaled": 1,
-                         "bessel_y_grid_scaled": 1}
+        assert calls == {"bessel_j_grid_scaled": 1, "bessel_y_grid_scaled": 1}
 
     def test_raw_single_cylinder_needs_no_coupling_orders(self, unit_scene):
         # one cylinder has no H_{2N} coupling, so the raw system goes on

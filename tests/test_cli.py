@@ -120,6 +120,16 @@ class TestSolve:
                          "-o", str(tmp_path))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "far", "-N", "-1"],
+        ["field", "far", "-N", "-1", "--xlim", "-4", "4", "--ylim", "-4", "4"],
+    ])
+    def test_negative_truncation_is_named(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, *command, "-o", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert "truncation N must be >= 0, got N = -1" in err
+        assert not list(tmp_path.iterdir())
+
     def test_argument_cap_is_named(self, capsys, tmp_path):
         # k d_23 = 90 * |(12, 0) - (0, 14)| = 1659.5 > ARG_CAP
         code, _, err = run(capsys, "solve", "far", "-k", "90", "-N", "5",
@@ -245,6 +255,16 @@ class TestSweep:
                            "--n-max", "3", "-o", str(tmp_path))
         assert code == EXIT_VALIDATION
 
+    def test_non_converging_backend_exits_numerical(self, capsys, tmp_path):
+        # the reflections iteration diverges on the near-touching preset,
+        # so there is no reference to measure E against
+        code, _, err = run(capsys, "sweep", "touching", "--backend",
+                           "reflections", "--n-max", "10",
+                           "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "reflections solve at N = 15 did not converge" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestBounds:
     def test_table_without_solving(self, capsys, tmp_path):
@@ -256,6 +276,19 @@ class TestBounds:
         assert len(lines) == 17
         n0 = lines[1].split(",")
         assert float(n0[1]) == 1.0 and float(n0[2]) == 1.0
+
+    @pytest.mark.parametrize("command", ["sweep", "bounds"])
+    @pytest.mark.parametrize("n_min, n_max, named", [
+        ("9", "3", "--n-max must be >= --n-min"),
+        ("-3", "5", "--n-min must be >= 0, got -3"),
+    ])
+    def test_range_is_checked_like_sweep(self, capsys, tmp_path, command,
+                                         n_min, n_max, named):
+        code, _, err = run(capsys, command, "far", "--n-min", n_min,
+                           "--n-max", n_max, "-o", str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestField:

@@ -205,9 +205,8 @@ class TestBoundaryResidual:
                 worst = max(worst, float(np.max(np.abs(vals))))
             return worst
 
-        # one J and one Y table over all radii, and no H table of its own
-        calls = {"hankel1_grid_scaled": 0, "bessel_j_grid_scaled": 0,
-                 "bessel_y_grid_scaled": 0}
+        # one J and one Y table over all radii
+        calls = {"bessel_j_grid_scaled": 0, "bessel_y_grid_scaled": 0}
         for name in calls:
             def counted(*args, _inner=getattr(specfun, name), _name=name):
                 calls[_name] += 1
@@ -216,8 +215,7 @@ class TestBoundaryResidual:
         for offset in (0.0, 1e-6):
             calls.update(dict.fromkeys(calls, 0))
             batched = boundary_residual(sc, phi, offset=offset)
-            assert calls == {"hankel1_grid_scaled": 0,
-                             "bessel_j_grid_scaled": 1,
+            assert calls == {"bessel_j_grid_scaled": 1,
                              "bessel_y_grid_scaled": 1}
             assert batched == per_cylinder_loop(offset)
 

@@ -142,7 +142,7 @@ class TestReflections:
         op, rhs = moderate_system
         fo = first_order_solution(op, rhs)
         assert np.array_equal(fo.solution.data, rhs.data)
-        coupling = op.matrix - np.eye(op.dim)
+        coupling = op.matrix - np.eye(op.matrix.shape[0])
         manual = np.linalg.norm(coupling @ rhs.flat())
         assert fo.residual == pytest.approx(manual, rel=1e-12)
 

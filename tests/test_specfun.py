@@ -120,6 +120,13 @@ def y0_series(x: float) -> float:
     return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * j0_series(x) + tail)
 
 
+def hankel_grid(m_max: int, x):
+    """Scaled H_m^(1) = J_m + i Y_m, combined from the J and Y tables as the
+    assemblies and the field code combine them."""
+    return specfun._hankel_from(*specfun.bessel_j_grid_scaled(m_max, x),
+                                *specfun.bessel_y_grid_scaled(m_max, x))
+
+
 def check_point_oracles(tol: float = 1e-10) -> float:
     """Max relative deviation of J_0(1), Y_0(1) from in-test series oracles."""
     dev_j = abs(specfun.bessel_j(0, 1.0) - j0_series(1.0)) / abs(j0_series(1.0))
@@ -155,7 +162,7 @@ def check_recurrence(args=(0.7, 3.0, 25.0, 90.0), m_max: int = 60,
         seqs = [specfun.scaled_to_float(*grid(m_max, x))[:, 0]
                 for grid in (specfun.bessel_j_grid_scaled,
                              specfun.bessel_y_grid_scaled,
-                             specfun.hankel1_grid_scaled)]
+                             hankel_grid)]
         for c in seqs:
             for m in range(1, m_max):
                 res = c[m + 1] - (2.0 * m / x) * c[m] + c[m - 1]
@@ -187,7 +194,7 @@ def check_envelope(args=(1.0, 5.0, 20.0), band: float = 100.0) -> float:
         m_lo = math.ceil(x) + 5
         m_hi = 100
         jm, je = specfun.bessel_j_grid_scaled(m_hi, x)
-        hm, he = specfun.hankel1_grid_scaled(m_hi, x)
+        hm, he = hankel_grid(m_hi, x)
         log_j = np.log(np.abs(jm[:, 0])) + je[:, 0] * math.log(2.0)
         log_h = np.log(np.abs(hm[:, 0])) + he[:, 0] * math.log(2.0)
         ms = np.arange(m_lo, m_hi + 1, dtype=float)
@@ -204,7 +211,7 @@ def check_hankel_monotonicity(order_max: int = 30,
                               args=(0.5, 2.0, 10.0)) -> None:
     """|H_{|m-n|}(x)| <= |H_{m+n}(x)| for fixed x: |H_m| grows with order."""
     for x in args:
-        hm, he = specfun.hankel1_grid_scaled(2 * order_max, x)
+        hm, he = hankel_grid(2 * order_max, x)
         log_h = np.log(np.abs(hm[:, 0])) + he[:, 0] * math.log(2.0)
         for m in range(order_max + 1):
             for n in range(order_max + 1):
@@ -272,7 +279,7 @@ class TestIdentities:
 class TestScaledSequences:
     def test_seq_matches_point_evaluations(self):
         xs = (0.8, 12.0, 77.0)
-        h = specfun.scaled_to_float(*specfun.hankel1_grid_scaled(40, xs))
+        h = specfun.scaled_to_float(*hankel_grid(40, xs))
         for i, x in enumerate(xs):
             for m in (0, 7, 25, 40):
                 assert h[m, i] == pytest.approx(specfun.hankel1(m, x),
@@ -284,7 +291,7 @@ class TestScaledSequences:
         # batched table is bitwise the one-argument table
         xs = [1e-8, 0.05, 0.7, 3.0, 40.0, 120.0, 999.0]
         for grid in (specfun.bessel_j_grid_scaled, specfun.bessel_y_grid_scaled,
-                     specfun.hankel1_grid_scaled):
+                     hankel_grid):
             mant, exp2 = grid(order, xs)
             for i, x in enumerate(xs):
                 one_m, one_e = grid(order, x)
@@ -305,7 +312,7 @@ class TestScaledSequences:
 
     def test_plain_seq_overflows_loudly(self):
         # H_200(0.5) is far beyond the double range.
-        mant, exp2 = specfun.hankel1_grid_scaled(200, 0.5)
+        mant, exp2 = hankel_grid(200, 0.5)
         with pytest.raises(OverflowError):
             specfun.scaled_to_float(mant, exp2)
         # The scaled form represents the same row without complaint.
@@ -339,7 +346,7 @@ class TestDomainAndCaps:
         with pytest.raises(CapabilityError):
             specfun.bessel_j(201, 1.0)
         with pytest.raises(CapabilityError):
-            specfun.hankel1_grid_scaled(201, 1.0)
+            specfun.bessel_y_grid_scaled(201, 1.0)
 
     def test_argument_cap(self):
         with pytest.raises(CapabilityError):
