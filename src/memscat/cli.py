@@ -157,16 +157,23 @@ def _cmd_sweep(args) -> int:
             f"N = {args.n_max + margin} (n-max + {margin}), and "
             f"N <= {TRUNCATION_CAP}")
     ks = args.k if args.k else [sc.wavenumber]
+    # each k is swept on its own; the exit code is the gravest outcome,
+    # a numerical failure (2) over a refused k (1)
     status = EXIT_OK
     for k in ks:
         if not _warn_high_k(args, k):
-            status = EXIT_VALIDATION
+            status = max(status, EXIT_VALIDATION)
             continue
         sck = scene_mod.Scene(cylinders=sc.cylinders, wavenumber=float(k),
                               incident=sc.incident)
-        rep = analysis.convergence_sweep(
-            sck, truncations, norm=args.norm, backend=args.backend,
-            include_surrogate=args.first_order)
+        try:
+            rep = analysis.convergence_sweep(
+                sck, truncations, norm=args.norm, backend=args.backend,
+                include_surrogate=args.first_order)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"numerical failure at k = {k:g}: {exc}", file=sys.stderr)
+            status = EXIT_NUMERICAL
+            continue
         csv_path = _outpath(args, f"{stem}_sweep_k{k:g}.csv")
         analysis.write_report_csv(rep, csv_path)
         gp_path = _outpath(args, f"{stem}_sweep_k{k:g}.gp")
@@ -205,10 +212,10 @@ def _cmd_field(args) -> int:
     if res.diverged or not res.converged:
         print("solver did not converge; no field written", file=sys.stderr)
         return EXIT_NUMERICAL
-    X, Y, U, inside = field.total_field_grid(
+    xs, ys, U, inside = field.total_field_grid(
         sc, res.solution, args.xlim, args.ylim, args.nx, args.ny)
     csv_path = _outpath(args, f"{stem}_field.csv")
-    field.write_field_csv(csv_path, X, Y, U, inside)
+    field.write_field_csv(csv_path, xs, ys, U, inside)
     gp_path = _outpath(args, f"{stem}_field.gp")
     field.write_plot_script(gp_path, f"{stem}_field.csv",
                             title=f"total field, k = {sc.wavenumber:g}")

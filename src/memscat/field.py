@@ -21,14 +21,16 @@ c_m and the ratios s_m = H_m(k a_p) / H_{m+1}(k a_p), once per evaluation,
 so the cost is O(points x N) complex arithmetic.  Points with
 k r_p > ARG_CAP raise CapabilityError.
 
-Points are evaluated, and field CSVs written, in blocks of 8192
-(_BLOCK_POINTS).  8192 complex values are 128 KiB, under numpy's 256 KiB
+Points are evaluated, and field CSVs written, in blocks of 4096
+(_BLOCK_POINTS).  4096 complex values are 64 KiB, under numpy's 256 KiB
 threshold for eliding temporaries, so every value takes the same
 out-of-place loops however many points share a call.  Incident values are
 elementwise too, so each total-field value depends on its own point alone,
-bitwise.  A grid costs 33 bytes per point (X, Y, the complex values and the
-interior mask) plus one block's working set, about 2 MiB while evaluating
-and 3 MiB while writing.
+bitwise.  A grid is carried as its two axes: each block takes its points
+from them, and the CSV writer formats each coordinate once.  So a grid
+costs 17 bytes per point (the complex values and the interior mask) plus
+one block's working set; on the far preset at N = 12 a 200x200 grid peaks
+at 1.6 MiB while evaluating and 2.3 MiB while writing (tracemalloc).
 total_field_grid checks the argument cap over all its exterior points
 before it evaluates any block.
 """
@@ -48,9 +50,9 @@ INTERIOR_MARGIN = 1e-9
 BOUNDARY_OFFSET = 1e-6
 # boundary_residual samples each circle at this many equispaced angles
 _BOUNDARY_SAMPLES = 360
-# points per block of evaluation and CSV output; 8192 complex values stay
+# points per block of evaluation and CSV output; 4096 complex values stay
 # under numpy's threshold for eliding temporaries (see the module docstring)
-_BLOCK_POINTS = 8192
+_BLOCK_POINTS = 4096
 
 
 def _as_points(points) -> np.ndarray:
@@ -97,7 +99,8 @@ def scattered_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
 
 def _blocks(n: int):
     """Slices of at most _BLOCK_POINTS consecutive points covering range(n)."""
-    return [slice(i, i + _BLOCK_POINTS) for i in range(0, n, _BLOCK_POINTS)]
+    return [slice(i, min(i + _BLOCK_POINTS, n))
+            for i in range(0, n, _BLOCK_POINTS)]
 
 
 def _radius_tables(scene: Scene, N: int):
@@ -232,20 +235,24 @@ def far_field_amplitude(scene: Scene, phi: CoefficientVector, angles) -> np.ndar
 
 def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
                      nx: int, ny: int):
-    """Total field on a regular grid; interior samples become nan and are
-    reported through the boolean mask.
+    """Total field on a regular grid, as (xs, ys, U, inside): the axes, and
+    the values and interior mask shaped (ny, nx), so that row r of the
+    flattened grid is the point (xs[r % nx], ys[r // nx]).  Interior samples
+    become nan and are reported through the mask.
 
-    The grid is evaluated in blocks of _BLOCK_POINTS points, after a first
-    pass that masks the interior and refuses, before any block is evaluated,
-    exterior points with k r_p > ARG_CAP.
+    The grid is evaluated in blocks of _BLOCK_POINTS points, each taking its
+    coordinates from the axes, after a first pass that masks the interior
+    and refuses, before any block is evaluated, exterior points with
+    k r_p > ARG_CAP.  The values and the mask are the only full-size arrays,
+    17 bytes per point; the rest is one block's working set.  The far
+    preset's 200x200 grid at N = 12 peaks at 1.6 MiB (tracemalloc).
     """
     xs = np.linspace(xlim[0], xlim[1], nx)
     ys = np.linspace(ylim[0], ylim[1], ny)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    x, y = X.ravel(), Y.ravel()
-    inside = np.empty(x.size, dtype=bool)
-    for s in _blocks(x.size):
-        inside[s] = interior_mask(scene, np.stack([x[s], y[s]], axis=1))
+    n = nx * ny
+    inside = np.empty(n, dtype=bool)
+    for s in _blocks(n):
+        inside[s] = interior_mask(scene, _grid_points(xs, ys, _rows(s)))
     reach = np.zeros(scene.n_cylinders)     # largest r_p at an exterior point
     for p, cyl in enumerate(scene.cylinders):
         # the grid's corners bound r_p, so the points are visited only for a
@@ -254,8 +261,9 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
                           np.max(np.abs(ys - cyl.center[1]), initial=0.0))
         if scene.wavenumber * corner <= specfun.ARG_CAP:
             continue
-        for s in _blocks(x.size):
-            r = np.hypot(x[s] - cyl.center[0], y[s] - cyl.center[1])
+        for s in _blocks(n):
+            pts = _grid_points(xs, ys, _rows(s))
+            r = np.hypot(pts[:, 0] - cyl.center[0], pts[:, 1] - cyl.center[1])
             reach[p] = max(reach[p], np.max(r, where=~inside[s], initial=0.0))
     kr = scene.wavenumber * reach
     p = int(np.argmax(kr))
@@ -265,13 +273,22 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
             f"grid point at k r_p = {kr[p]:.6g} from cylinder {p + 1} exceeds "
             f"the argument cap {specfun.ARG_CAP}")
     tables = _radius_tables(scene, phi.truncation)
-    vals = np.full(x.size, np.nan + 0j, dtype=np.complex128)
-    for s in _blocks(x.size):
+    vals = np.full(n, np.nan + 0j, dtype=np.complex128)
+    for s in _blocks(n):
         ext = s.start + np.flatnonzero(~inside[s])
-        pts = np.stack([x[ext], y[ext]], axis=1)
+        pts = _grid_points(xs, ys, ext)
         vals[ext] = (incident_field(scene, pts)
                      + _scattered_block(scene, phi, tables, pts))
-    return X, Y, vals.reshape(ny, nx), inside.reshape(ny, nx)
+    return xs, ys, vals.reshape(ny, nx), inside.reshape(ny, nx)
+
+
+def _rows(s: slice) -> np.ndarray:
+    return np.arange(s.start, s.stop)
+
+
+def _grid_points(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray):
+    """The (len(rows), 2) points of the given rows of the grid on xs x ys."""
+    return np.stack([xs[rows % xs.size], ys[rows // xs.size]], axis=1)
 
 
 # '{:.16e}' text is at most 24 bytes: '-d.dddddddddddddddde-ddd'
@@ -376,32 +393,50 @@ def _format_column(values) -> np.ndarray:
     return planes.T
 
 
-def write_field_csv(path, X, Y, U, inside) -> None:
-    """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles).
+def write_field_csv(path, xs, ys, U, inside) -> None:
+    """CSV rows x,y,re_total,im_total,abs_total,inside (nan inside obstacles)
+    of the grid that total_field_grid returns: row r is the point
+    (xs[r % nx], ys[r // nx]), and U and inside are shaped (len(ys), len(xs)).
 
-    Every number is exactly Python's '{:.16e}' text.  It is produced a whole
-    column of a block of _BLOCK_POINTS rows at a time by `_format_column`,
-    which falls back to '{:.16e}'.format itself wherever its own arithmetic
-    cannot decide a digit, and each block of rows is written in one call.
+    Every number is exactly Python's '{:.16e}' text, produced by
+    `_format_column`, which falls back to '{:.16e}'.format itself wherever
+    its own arithmetic cannot decide a digit.  Each axis is formatted once,
+    and each block of _BLOCK_POINTS rows gathers its coordinate text by row
+    index, formats its three value columns and is written in one call.  So
+    the writer adds one block's working set and the axes' text to U and
+    inside: the far preset's 200x200 grid at N = 12 peaks at 2.3 MiB while
+    written, its 0.65 MiB of U and inside included (tracemalloc).
     """
-    x, y, u, flags = np.ravel(X), np.ravel(Y), np.ravel(U), np.ravel(inside)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("xs and ys must be the grid's 1-D axes")
+    shape = (ys.size, xs.size)
+    if np.shape(U) != shape or np.shape(inside) != shape:
+        raise ValueError("U and inside must have shape (len(ys), len(xs)) "
+                         f"= {shape}, not {np.shape(U)} and "
+                         f"{np.shape(inside)}")
+    x_text, y_text = _format_column(xs), _format_column(ys)
+    u, flags = np.ravel(U), np.ravel(inside)
     with open(path, "wb") as fh:
         fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
         for s in _blocks(flags.size):
-            fh.write(_csv_rows(x[s], y[s], u[s], flags[s].astype(bool)))
+            fh.write(_csv_rows(x_text, y_text, _rows(s), u[s],
+                               flags[s].astype(bool)))
 
 
-def _csv_rows(x, y, u, flag) -> np.ndarray:
-    """The CSV text of one block of rows, as a uint8 array."""
+def _csv_rows(x_text, y_text, rows, u, flag) -> np.ndarray:
+    """The CSV text of one block of grid rows, as a uint8 array; x_text and
+    y_text are the formatted axes."""
     re = np.where(flag, np.nan, u.real)
     im = np.where(flag, np.nan, u.imag)
-    # np.hypot is what abs() of a complex128 scalar computes
-    columns = (x, y, re, im, np.hypot(re, im))
     cell = _TEXT_WIDTH + 1
-    table = np.zeros((flag.size, cell * len(columns) + 2), dtype=np.uint8)
-    for i, column in enumerate(columns):
+    table = np.zeros((rows.size, 5 * cell + 2), dtype=np.uint8)
+    table[:, :_TEXT_WIDTH] = x_text[rows % len(x_text)]
+    table[:, cell:cell + _TEXT_WIDTH] = y_text[rows // len(x_text)]
+    # np.hypot is what abs() of a complex128 scalar computes
+    for i, column in enumerate((re, im, np.hypot(re, im)), start=2):
         table[:, i * cell:(i + 1) * cell - 1] = _format_column(column)
-        table[:, (i + 1) * cell - 1] = ord(",")
+    table[:, cell - 1::cell] = ord(",")
     table[:, -2] = flag + ord("0")
     table[:, -1] = ord("\n")
     return table[table != 0]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import memscat
-from memscat import Cylinder, PlaneWave, Scene, dumps_scene, loads_scene
+from memscat import (Cylinder, NonConvergenceError, PlaneWave, Scene,
+                     dumps_scene, loads_scene)
 from memscat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -264,6 +265,27 @@ class TestSweep:
         assert code == EXIT_NUMERICAL
         assert "reflections solve at N = 15 did not converge" in err
         assert not list(tmp_path.iterdir())
+
+    def test_failed_wavenumber_does_not_stop_the_rest(self, capsys, tmp_path,
+                                                      monkeypatch):
+        sweep = memscat.analysis.convergence_sweep
+
+        def fail_at_low_k(scene, *args, **kwargs):
+            if scene.wavenumber == 0.6:
+                raise NonConvergenceError("no reference at this k")
+            return sweep(scene, *args, **kwargs)
+        monkeypatch.setattr(memscat.analysis, "convergence_sweep",
+                            fail_at_low_k)
+        # the numerical failure sets the exit code over the refused k = 15
+        code, out, err = run(capsys, "sweep", "far", "--n-max", "6",
+                             "--k", "0.6", "--k", "15", "--k", "3",
+                             "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure at k = 0.6: no reference at this k" in err
+        assert "--allow-high-k" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "far_sweep_k3.csv", "far_sweep_k3.gp"]
+        assert "far_sweep_k3.csv" in out
 
 
 class TestBounds:

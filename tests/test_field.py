@@ -1,5 +1,6 @@
 """Field evaluation: multipole sums, quadrature cross-check, far field."""
 
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -260,8 +261,8 @@ class TestFarField:
 
 class TestGrid:
     def test_interior_samples_are_masked(self, far_scene, far_phi):
-        X, Y, U, inside = total_field_grid(far_scene, far_phi,
-                                           (-3.0, 3.0), (-3.0, 3.0), 5, 5)
+        xs, ys, U, inside = total_field_grid(far_scene, far_phi,
+                                             (-3.0, 3.0), (-3.0, 3.0), 5, 5)
         assert inside[2, 2]
         assert np.isnan(U[2, 2].real)
         assert not inside[0, 0]
@@ -269,24 +270,27 @@ class TestGrid:
 
     def test_single_point_grid_matches_direct_evaluation(self, far_scene,
                                                          far_phi):
-        X, Y, U, inside = total_field_grid(far_scene, far_phi,
-                                           (7.0, 7.0), (-3.0, -3.0), 1, 1)
+        xs, ys, U, inside = total_field_grid(far_scene, far_phi,
+                                             (7.0, 7.0), (-3.0, -3.0), 1, 1)
         direct = total_field(far_scene, far_phi, np.array([[7.0, -3.0]]))[0]
         assert not inside[0, 0]
         assert U[0, 0] == pytest.approx(direct, rel=1e-14)
 
     def test_grid_axes_orientation(self, far_scene, far_phi):
-        X, Y, U, inside = total_field_grid(far_scene, far_phi,
-                                           (-2.0, 2.0), (5.0, 6.0), 3, 2)
-        assert X.shape == (2, 3)
-        assert np.allclose(X[0], [-2.0, 0.0, 2.0])
-        assert np.allclose(Y[:, 0], [5.0, 6.0])
+        xs, ys, U, inside = total_field_grid(far_scene, far_phi,
+                                             (-2.0, 2.0), (5.0, 6.0), 3, 2)
+        assert xs.tolist() == [-2.0, 0.0, 2.0]
+        assert ys.tolist() == [5.0, 6.0]
+        assert U.shape == inside.shape == (2, 3)
+        # row i, column j of U is the point (xs[j], ys[i])
+        alone = total_field(far_scene, far_phi, np.array([[2.0, 5.0]]))
+        assert U[0, 2] == alone[0]
 
     def test_csv_schema(self, tmp_path, far_scene, far_phi):
-        X, Y, U, inside = total_field_grid(far_scene, far_phi,
-                                           (-3.0, 3.0), (-3.0, 3.0), 3, 3)
+        xs, ys, U, inside = total_field_grid(far_scene, far_phi,
+                                             (-3.0, 3.0), (-3.0, 3.0), 3, 3)
         path = tmp_path / "field.csv"
-        write_field_csv(path, X, Y, U, inside)
+        write_field_csv(path, xs, ys, U, inside)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,re_total,im_total,abs_total,inside"
         assert len(lines) == 10
@@ -296,39 +300,39 @@ class TestGrid:
         assert corner[5] == "0" and np.isfinite(float(corner[2]))
 
     def test_csv_matches_row_by_row_writer(self, tmp_path, far_scene, far_phi):
-        def row_writer(path, X, Y, U, inside):
+        def row_writer(path, xs, ys, U, inside):
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("x,y,re_total,im_total,abs_total,inside\n")
-                for i in range(X.shape[0]):
-                    for j in range(X.shape[1]):
+                for i, y in enumerate(ys):
+                    for j, x in enumerate(xs):
                         u = U[i, j]
                         if int(inside[i, j]):
-                            fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},"
-                                     "nan,nan,nan,1\n")
+                            fh.write(f"{x:.16e},{y:.16e},nan,nan,nan,1\n")
                         else:
-                            fh.write(f"{X[i, j]:.16e},{Y[i, j]:.16e},"
+                            fh.write(f"{x:.16e},{y:.16e},"
                                      f"{u.real:.16e},{u.imag:.16e},"
                                      f"{abs(u):.16e},0\n")
 
         grid = total_field_grid(far_scene, far_phi, (-3.0, 14.0), (-5.0, 3.0),
                                 18, 9)
         assert grid[3].any() and not grid[3].all()
-        # 8281 rows: one full block of _BLOCK_POINTS and a partial one
+        # one full block of _BLOCK_POINTS rows and a partial one
+        side = int(np.sqrt(1.5 * _BLOCK_POINTS))
         blocks = total_field_grid(far_scene, far_phi, (-3.0, 14.0),
-                                  (-5.0, 16.0), 91, 91)
+                                  (-5.0, 16.0), side, side)
         assert blocks[3].any() and not blocks[3].all()
         assert _BLOCK_POINTS < blocks[3].size < 2 * _BLOCK_POINTS
-        # scattered samples with repeats and both signed zeros
-        rng = np.random.default_rng(11)
-        X = rng.choice([-7.25, -0.0, 0.0, 3.5, 1e-300, 19.0], size=(6, 7))
-        Y = rng.uniform(-20.0, 20.0, size=(6, 7))
-        Y[2, :3] = Y[0, :3]
+        # axes with repeats, both signed zeros, a tiny and negative values
+        xs = np.array([-7.25, -0.0, 0.0, 3.5, 1e-300, 19.0, -7.25])
+        ys = np.random.default_rng(11).uniform(-20.0, 20.0, size=6)
+        ys[[2, 4]] = [ys[0], -0.0]
+        X, Y = np.meshgrid(xs, ys)
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         inside = interior_mask(far_scene, pts)
         U = np.full(pts.shape[0], np.nan + 0j)
         U[~inside] = total_field(far_scene, far_phi, pts[~inside])
-        scattered = (X, Y, U.reshape(X.shape), inside.reshape(X.shape))
-        for case in (grid, blocks, scattered):
+        axes = (xs, ys, U.reshape(X.shape), inside.reshape(X.shape))
+        for case in (grid, blocks, axes):
             write_field_csv(tmp_path / "new.csv", *case)
             row_writer(tmp_path / "old.csv", *case)
             assert ((tmp_path / "new.csv").read_bytes()
@@ -342,8 +346,9 @@ class TestGrid:
                       PlaneWave(0.7))
         plane_phi = solve(*assemble_system(plane, 13)).solution
         for sc, phi in ((far_scene, far_phi), (plane, plane_phi)):
-            X, Y, U, inside = total_field_grid(sc, phi, (-6.0, 18.0),
-                                               (-8.0, 20.0), 150, 150)
+            xs, ys, U, inside = total_field_grid(sc, phi, (-6.0, 18.0),
+                                                 (-8.0, 20.0), 150, 150)
+            X, Y = np.meshgrid(xs, ys)
             exterior = np.flatnonzero(~inside.ravel())
             assert exterior.size > 2 * _BLOCK_POINTS
             sample = np.random.default_rng(3).choice(exterior, 150,
@@ -355,19 +360,31 @@ class TestGrid:
                     U.ravel()[i:i + 1].view(np.int64).tolist(), \
                     (sc.incident, point)
 
-    def test_memory_peak_of_a_large_grid(self, tmp_path, far_scene):
-        # X, Y, U and the mask take 33 bytes a point (2.8 MiB here); the
-        # blocks add a fixed cost
-        phi = solve(*assemble_system(far_scene, 10)).solution
+    @staticmethod
+    def grid_peak(scene, phi, n):
+        """tracemalloc peak of evaluating and writing an n x n far grid."""
         tracemalloc.start()
         try:
-            grid = total_field_grid(far_scene, phi, (-6.0, 18.0),
-                                    (-8.0, 20.0), 300, 300)
-            write_field_csv(tmp_path / "field.csv", *grid)
-            peak = tracemalloc.get_traced_memory()[1]
+            grid = total_field_grid(scene, phi, (-6.0, 18.0), (-8.0, 20.0),
+                                    n, n)
+            write_field_csv(os.devnull, *grid)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
+
+    def test_memory_peak_of_a_large_grid(self, far_scene):
+        # U and the mask take 17 bytes a point (1.5 MiB here); the blocks
+        # add a fixed cost
+        phi = solve(*assemble_system(far_scene, 10)).solution
+        assert self.grid_peak(far_scene, phi, 300) < 10 * 2 ** 20
+
+    def test_memory_per_grid_point(self, far_scene):
+        # only the values and the mask grow with the grid: 17 bytes a point,
+        # where the X and Y meshgrids would add 16 more
+        phi = solve(*assemble_system(far_scene, 10)).solution
+        small = self.grid_peak(far_scene, phi, 300)
+        large = self.grid_peak(far_scene, phi, 600)
+        assert (large - small) / (600 ** 2 - 300 ** 2) < 20.0
 
     def test_argument_cap_is_checked_before_any_block(self, far_scene,
                                                       far_phi, monkeypatch):
@@ -384,24 +401,38 @@ class TestGrid:
         # every point beyond k r_1 = 1000 lies inside the second cylinder
         sc = Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((1500.0, 0.0), 400.0)),
                    0.6, PlaneWave(0.3))
-        X, Y, U, inside = total_field_grid(sc, CoefficientVector.zeros(2, 4),
-                                           (1000.0, 1800.0), (-10.0, 10.0),
-                                           81, 3)
+        xs, ys, U, inside = total_field_grid(sc, CoefficientVector.zeros(2, 4),
+                                             (1000.0, 1800.0), (-10.0, 10.0),
+                                             81, 3)
+        X, Y = np.meshgrid(xs, ys)
         assert 0.6 * np.max(np.hypot(X[inside], Y[inside])) > 1000.0
         assert 0.6 * np.max(np.hypot(X[~inside], Y[~inside])) < 1000.0
         assert np.all(np.isfinite(U[~inside])) and np.all(np.isnan(U[inside]))
 
     def test_empty_grid_writes_the_header_only(self, tmp_path, far_scene,
                                                far_phi):
-        empty = np.zeros((0, 4))
+        xs, empty = np.linspace(-3.0, 3.0, 4), np.zeros((0, 4))
         grid = total_field_grid(far_scene, far_phi, (-3.0, 3.0), (-3.0, 3.0),
                                 4, 0)
-        assert [a.shape for a in grid] == [(0, 4)] * 4
-        for case in ((empty, empty, empty.astype(np.complex128),
+        assert [a.shape for a in grid] == [(4,), (0,), (0, 4), (0, 4)]
+        for case in ((xs, np.zeros(0), empty.astype(np.complex128),
                       empty.astype(bool)), grid):
             write_field_csv(tmp_path / "empty.csv", *case)
             assert ((tmp_path / "empty.csv").read_bytes()
                     == b"x,y,re_total,im_total,abs_total,inside\n")
+
+    def test_writer_rejects_values_off_the_axes(self, tmp_path, far_scene,
+                                                far_phi):
+        xs, ys, U, inside = total_field_grid(far_scene, far_phi, (-3.0, 3.0),
+                                             (-3.0, 3.0), 4, 3)
+        X, Y = np.meshgrid(xs, ys)
+        path = tmp_path / "field.csv"
+        for case in ((ys, xs, U, inside), (xs, ys, U.T, inside),
+                     (xs, ys, U, inside.T), (xs, ys, U.ravel(), inside),
+                     (xs[:3], ys, U[:, :3], inside), (X, Y, U, inside)):
+            with pytest.raises(ValueError):
+                write_field_csv(path, *case)
+        assert not path.exists()
 
     def test_plot_script_references_the_csv(self, tmp_path):
         path = tmp_path / "field.gp"
