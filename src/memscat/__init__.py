@@ -20,8 +20,8 @@ from .field import (boundary_residual, far_field_amplitude, incident_field,
                     write_plot_script)
 from .presets import DEFAULT_SOURCE, PRESET_NAMES, PRESET_RADII, preset_scene
 from .scene import (Cylinder, PairGeometry, PlaneWave, PointSource, Scene,
-                    ValidationReport, dumps_scene, load_scene, loads_scene,
-                    pairwise_geometry, require_valid, validate_scene)
+                    dumps_scene, load_scene, loads_scene, pairwise_geometry,
+                    require_valid, validate_scene)
 from .solver import SolveResult, solve
 
 __version__ = "0.1.0"

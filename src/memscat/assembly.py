@@ -85,10 +85,6 @@ class CoefficientVector:
         return (self.data.shape[1] - 1) // 2
 
     @classmethod
-    def zeros(cls, n_cylinders: int, truncation: int) -> "CoefficientVector":
-        return cls(np.zeros((n_cylinders, 2 * truncation + 1), dtype=np.complex128))
-
-    @classmethod
     def from_flat(cls, flat: np.ndarray, n_cylinders: int,
                   truncation: int) -> "CoefficientVector":
         return cls(np.asarray(flat, dtype=np.complex128).reshape(

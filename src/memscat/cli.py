@@ -17,6 +17,8 @@ Exit codes: 0 success; 1 scene/config rejection; 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -69,22 +71,15 @@ def _truncation_range(args) -> range:
 
 
 def _load_scene(token: str, wavenumber: float | None):
-    if token in presets.PRESET_NAMES:
-        sc = presets.preset_scene(token, wavenumber=wavenumber
-                                  if wavenumber is not None else 0.6)
-        return sc, token
-    sc = scene_mod.load_scene(token)
+    """The scene SCENE names, with -k applied, and the stem of its artifacts."""
+    sc = (presets.preset_scene(token) if token in presets.PRESET_NAMES
+          else scene_mod.load_scene(token))
     if wavenumber is not None:
-        sc = scene_mod.Scene(cylinders=sc.cylinders,
-                             wavenumber=float(wavenumber),
-                             incident=sc.incident)
-    import os.path
-    stem = os.path.splitext(os.path.basename(token))[0]
-    return sc, stem
+        sc = dataclasses.replace(sc, wavenumber=float(wavenumber))
+    return sc, os.path.splitext(os.path.basename(token))[0]
 
 
 def _outpath(args, name: str) -> str:
-    import os
     os.makedirs(args.outdir, exist_ok=True)
     return os.path.join(args.outdir, name)
 
@@ -108,14 +103,14 @@ def _warn_high_k(args, k: float) -> bool:
 
 def _cmd_validate(args) -> int:
     sc, _ = _load_scene(args.scene, args.wavenumber)
-    rep = scene_mod.validate_scene(sc)
-    for v in rep.violations:
+    violations = scene_mod.validate_scene(sc)
+    for v in violations:
         print(f"violation: {v}")
-    if rep.ok:
+    if not violations:
         print(f"scene ok: {sc.n_cylinders} cylinder(s), k = {sc.wavenumber:g}")
     if args.echo:
         sys.stdout.write(scene_mod.dumps_scene(sc))
-    return EXIT_OK if rep.ok else EXIT_VALIDATION
+    return EXIT_VALIDATION if violations else EXIT_OK
 
 
 def _cmd_solve(args) -> int:
@@ -161,11 +156,13 @@ def _cmd_sweep(args) -> int:
     # a numerical failure (2) over a refused k (1)
     status = EXIT_OK
     for k in ks:
-        if not _warn_high_k(args, k):
+        sck = dataclasses.replace(sc, wavenumber=float(k))
+        violations = scene_mod.validate_scene(sck)
+        for v in violations:
+            print(f"error: k = {k:g}: {v}", file=sys.stderr)
+        if violations or not _warn_high_k(args, k):
             status = max(status, EXIT_VALIDATION)
             continue
-        sck = scene_mod.Scene(cylinders=sc.cylinders, wavenumber=float(k),
-                              incident=sc.incident)
         try:
             rep = analysis.convergence_sweep(
                 sck, truncations, norm=args.norm, backend=args.backend,

@@ -15,7 +15,7 @@ class CapabilityError(ValueError):
 
 
 class SingularSystemError(ArithmeticError):
-    """Dense factorization failed; the truncated system is numerically singular."""
+    """A dense or GMRES solve failed: the system is numerically singular."""
 
 
 class NonConvergenceError(ArithmeticError):

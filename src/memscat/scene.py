@@ -20,7 +20,7 @@ Scene files are YAML:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -70,15 +70,6 @@ class Scene:
         return np.array([c.radius for c in self.cylinders], dtype=np.float64)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @dataclass(frozen=True)
 class PairGeometry:
     """Derived geometry: distances d[p,q], angles theta[p,q] of O_q - O_p,
@@ -90,60 +81,59 @@ class PairGeometry:
     source_angles: np.ndarray | None
 
 
-def validate_scene(scene: Scene) -> ValidationReport:
-    """Check hard preconditions.
+def validate_scene(scene: Scene) -> list[str]:
+    """Check hard preconditions; return the violations (empty if none).
 
     Violations (overlap/tangency, nonpositive radius or wavenumber, a source
     inside an obstacle, empty scene) make the scene unusable.  Interior
     Dirichlet eigenvalues (J_m(k a_p) = 0) are not a concern: the
     preconditioned system divides only by H_m(k a_p), which has no real zeros.
     """
-    rep = ValidationReport()
     if scene.n_cylinders == 0:
-        rep.violations.append("scene has no cylinders")
-        return rep
+        return ["scene has no cylinders"]
+    violations = []
     if not np.isfinite(scene.wavenumber) or scene.wavenumber <= 0.0:
-        rep.violations.append(f"wavenumber must be > 0, got {scene.wavenumber}")
+        violations.append(f"wavenumber must be > 0, got {scene.wavenumber}")
     for p, c in enumerate(scene.cylinders):
         if not np.isfinite(c.radius) or c.radius <= 0.0:
-            rep.violations.append(f"cylinder {p + 1}: radius must be > 0, got {c.radius}")
+            violations.append(f"cylinder {p + 1}: radius must be > 0, got {c.radius}")
         if not all(np.isfinite(v) for v in c.center):
-            rep.violations.append(f"cylinder {p + 1}: center is not finite")
-    if rep.violations:
-        return rep
+            violations.append(f"cylinder {p + 1}: center is not finite")
+    if violations:
+        return violations
 
     geom = pairwise_geometry(scene)
     radii = scene.radii()
     d = geom.distances
     touch = np.triu(d <= radii[:, None] + radii[None, :] + OVERLAP_SLACK, 1)
     for p, q in zip(*np.nonzero(touch)):
-        rep.violations.append(
+        violations.append(
             f"cylinders {p + 1} and {q + 1} overlap or touch "
             f"(distance {d[p, q]:.6g} <= radius sum {radii[p] + radii[q]:.6g})")
 
     if isinstance(scene.incident, PointSource):
         if not np.all(np.isfinite(scene.incident.location)):
-            rep.violations.append("point source location is not finite")
+            violations.append("point source location is not finite")
         else:
             ds = geom.source_distances
             for p in np.flatnonzero(ds <= radii + OVERLAP_SLACK):
-                rep.violations.append(
+                violations.append(
                     f"point source lies inside cylinder {p + 1} "
                     f"(distance {ds[p]:.6g} <= radius {radii[p]:.6g})")
     elif isinstance(scene.incident, PlaneWave):
         if not np.isfinite(scene.incident.angle):
-            rep.violations.append("plane wave angle is not finite")
+            violations.append("plane wave angle is not finite")
     else:
-        rep.violations.append(f"unknown incident field {type(scene.incident).__name__}")
+        violations.append(f"unknown incident field {type(scene.incident).__name__}")
 
-    return rep
+    return violations
 
 
 def require_valid(scene: Scene) -> None:
     """Raise SceneValidationError if the scene breaks a hard precondition."""
-    rep = validate_scene(scene)
-    if not rep.ok:
-        raise SceneValidationError("; ".join(rep.violations))
+    violations = validate_scene(scene)
+    if violations:
+        raise SceneValidationError("; ".join(violations))
 
 
 def pairwise_geometry(scene: Scene) -> PairGeometry:
@@ -208,7 +198,9 @@ def scene_from_dict(d: dict) -> Scene:
                                              float(inc["location"][1])))
         else:
             raise SceneValidationError(f"unknown incident type {kind!r}")
-    except (KeyError, TypeError, IndexError) as exc:
+    except SceneValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SceneValidationError(f"malformed scene description: {exc}") from exc
     return Scene(cylinders=cyls, wavenumber=k, incident=incident)
 
@@ -218,7 +210,10 @@ def dumps_scene(scene: Scene) -> str:
 
 
 def loads_scene(text: str) -> Scene:
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise SceneValidationError(f"malformed scene file: {exc}") from exc
     if not isinstance(data, dict):
         raise SceneValidationError("scene file does not contain a mapping")
     return scene_from_dict(data)

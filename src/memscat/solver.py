@@ -6,10 +6,10 @@ Four routes with one result type:
 * gmres      restarted GMRES (modified Gram-Schmidt Arnoldi + Givens
              rotations, following Kelley, "Iterative Methods for Linear
              Systems", alg. 3.5.1), through BlockOperator.matvec only;
-* reflections  parallel method of reflections phi <- g - A phi, i.e. the
-             Neumann-series iteration; diverges when the coupling is too
-             strong (almost-touching obstacles) and says so instead of
-             crashing;
+* reflections  parallel method of reflections phi <- g - A phi, i.e.
+             Richardson iteration on (I + A) phi = g; three consecutive
+             growths of the residual count as divergence (almost-touching
+             obstacles), which is reported instead of raised;
 * first_order  the zeroth iterate phi = g with its defect ||A g|| reported,
              the cheap approximation whose validity the breakdown heuristic
              in `analysis` predicts.
@@ -71,9 +71,6 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
 
     b = rhs.flat()
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        sol = CoefficientVector.zeros(M, N)
-        return SolveResult(sol, "gmres", 0, 0.0, converged=True)
     x = np.zeros_like(b)
     eta = tol * bnorm
     total_iters = 0
@@ -117,7 +114,10 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
             gvec[j] = np.conj(cs[j]) * gvec[j]
             if abs(gvec[j + 1]) <= eta:
                 break
-        y = np.linalg.solve(H[:j_used, :j_used], gvec[:j_used])
+        try:
+            y = np.linalg.solve(H[:j_used, :j_used], gvec[:j_used])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"GMRES solve failed: {exc}") from exc
         x = x + V[:j_used].T @ y
         if abs(gvec[j_used]) <= eta or total_iters >= max_iterations:
             break
@@ -131,46 +131,32 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
 def solve_reflections(op: BlockOperator, rhs: CoefficientVector,
                       tol: float = REFLECTIONS_DEFAULT_TOL,
                       max_iterations: int = 500) -> SolveResult:
-    """Parallel method of reflections: iterate phi <- g - A phi.
+    """Parallel method of reflections: Richardson iteration phi <- g - A phi.
 
-    Converges iff the Neumann series for (I + A)^{-1} does.  Three
-    consecutive growths of the update norm are taken as divergence; the last
+    Converges iff the Neumann series for (I + A)^{-1} does.  Each sweep's
+    step g - (I + A) phi is the residual of the current iterate; the loop
+    stops when its norm is at most tol ||g|| or the budget runs out.  Three
+    consecutive growths of that norm are taken as divergence; the last
     iterate is returned with diverged=True rather than raising, so sweeps can
     report the breakdown.
     """
     g = rhs.data
-    gnorm = float(np.linalg.norm(g))
+    eta = tol * float(np.linalg.norm(g))
     phi = CoefficientVector(g.copy())
-    if gnorm == 0.0:
-        return SolveResult(phi, "reflections", 0, 0.0, converged=True)
-    growths = 0
-    prev_update = None
-    iterations = 0
+    growths, prev, it = 0, np.inf, 0
     for it in range(max_iterations + 1):
-        coupled = op.matvec(phi).data - phi.data
-        residual = float(np.linalg.norm(g - coupled - phi.data))
-        if residual <= tol * gnorm:
-            iterations = it
+        nxt = g - (op.matvec(phi).data - phi.data)
+        step = float(np.linalg.norm(nxt - phi.data))
+        if step <= eta or it == max_iterations:
             break
-        if it == max_iterations:   # budget exhausted; keep the last iterate
-            break
-        nxt = g - coupled
-        update = float(np.linalg.norm(nxt - phi.data))
-        if prev_update is not None and update > prev_update:
-            growths += 1
-            if growths >= 3:
-                phi = CoefficientVector(nxt)
-                res = _residual_norm(op, rhs, phi)
-                return SolveResult(phi, "reflections", it + 1, res,
-                                   converged=False, diverged=True)
-        else:
-            growths = 0
-        prev_update = update
-        phi = CoefficientVector(nxt)
-        iterations = it + 1
+        growths = growths + 1 if step > prev else 0
+        prev, phi = step, CoefficientVector(nxt)
+        if growths == 3:
+            return SolveResult(phi, "reflections", it + 1,
+                               _residual_norm(op, rhs, phi),
+                               converged=False, diverged=True)
     res = _residual_norm(op, rhs, phi)
-    return SolveResult(phi, "reflections", iterations, res,
-                       converged=res <= tol * gnorm)
+    return SolveResult(phi, "reflections", it, res, converged=res <= eta)
 
 
 def first_order_solution(op: BlockOperator, rhs: CoefficientVector) -> SolveResult:

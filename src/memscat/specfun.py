@@ -1,5 +1,5 @@
-"""Cylinder Bessel functions with an extended exponent range, plus the
-hypergeometric helper used by the truncation-bound series.
+"""Cylinder Bessel functions with an extended exponent range, plus a
+hypergeometric helper that only the tests call.
 
 Why not scipy.special alone: the multipole blocks need J_m and H_m^(1) up to
 order 200 at arguments as small as k*a ~ 1e-3, where J underflows (J_200(0.3)

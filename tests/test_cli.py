@@ -60,6 +60,21 @@ class TestValidate:
         capsys.readouterr()
         assert code in (EXIT_VALIDATION, EXIT_IO)
 
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "-N", "4"]])
+    @pytest.mark.parametrize("text", [
+        "cylinders: [\n",
+        "cylinders:\n- center: [0, 0]\n  radius: abc\nwavenumber: 1.0\n"
+        "incident: {type: plane, angle: 0.0}\n"], ids=["yaml", "radius"])
+    def test_malformed_file_is_rejected(self, capsys, tmp_path, command,
+                                        text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        code, _, err = run(capsys, command[0], str(path), *command[1:],
+                           "-o", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("scene rejected:")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_is_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify", "far"])
@@ -235,6 +250,17 @@ class TestSweep:
         assert code == EXIT_OK
         assert "warning" in err
         assert (tmp_path / "far_sweep_k15.csv").exists()
+
+    def test_invalid_wavenumbers_are_refused_one_by_one(self, capsys,
+                                                        tmp_path):
+        code, _, err = run(capsys, "sweep", "far", "--n-max", "6",
+                           "--k", "-1", "--k", "nan", "--k", "0.6",
+                           "-o", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert "error: k = -1: wavenumber must be > 0" in err
+        assert "error: k = nan: wavenumber must be > 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "far_sweep_k0.6.csv", "far_sweep_k0.6.gp"]
 
     def test_reference_beyond_order_cap_fails(self, capsys, tmp_path):
         # the reference solve takes N = n_max + 5 = 101 > 100

@@ -38,46 +38,45 @@ def two_cylinder_scene(d, r1=1.0, r2=1.0, k=0.6, incident=None):
 class TestValidation:
     def test_far_preset_is_clean(self, far_scene):
         rep = validate_scene(far_scene)
-        assert rep.ok
-        assert rep.violations == []
+        assert rep == []
 
     def test_overlap_is_a_violation(self):
         rep = validate_scene(two_cylinder_scene(1.5))
-        assert not rep.ok
-        assert any("overlap" in v for v in rep.violations)
+        assert rep != []
+        assert any("overlap" in v for v in rep)
 
     def test_tangency_counts_as_overlap(self):
         rep = validate_scene(two_cylinder_scene(2.0))
-        assert not rep.ok
+        assert rep != []
 
     def test_disjointness_is_strict(self):
         # Distance exceeding the radius sum by less than the slack still fails.
         rep = validate_scene(two_cylinder_scene(2.0 + 1e-15))
-        assert not rep.ok
-        assert validate_scene(two_cylinder_scene(2.0 + 1e-9)).ok
+        assert rep != []
+        assert validate_scene(two_cylinder_scene(2.0 + 1e-9)) == []
 
     def test_nonpositive_radius(self):
         rep = validate_scene(two_cylinder_scene(4.0, r1=-1.0))
-        assert not rep.ok
-        assert any("radius" in v for v in rep.violations)
+        assert rep != []
+        assert any("radius" in v for v in rep)
 
     def test_nonpositive_wavenumber(self):
         rep = validate_scene(two_cylinder_scene(4.0, k=0.0))
-        assert not rep.ok
+        assert rep != []
 
     def test_source_inside_cylinder(self):
         sc = two_cylinder_scene(4.0, incident=PointSource((0.5, 0.0)))
         rep = validate_scene(sc)
-        assert not rep.ok
-        assert any("source" in v for v in rep.violations)
+        assert rep != []
+        assert any("source" in v for v in rep)
 
     def test_source_outside_is_fine(self):
         sc = two_cylinder_scene(4.0, incident=PointSource((-3.0, 4.0)))
-        assert validate_scene(sc).ok
+        assert validate_scene(sc) == []
 
     def test_empty_scene(self):
         rep = validate_scene(Scene((), 1.0, PlaneWave(0.0)))
-        assert not rep.ok
+        assert rep != []
 
     def test_interior_eigenvalue_is_well_conditioned(self, capsys, recwarn):
         # k a_1 = j_{0,1} (first zero of J_0) on the moderate preset.  The
@@ -86,7 +85,7 @@ class TestValidation:
         # off-eigenvalue value (4.42 at k = 1.1) and the solve is as accurate.
         k = 2.404825557695773 / 2.0
         sc = preset_scene("moderate", wavenumber=k)
-        assert validate_scene(sc).ok
+        assert validate_scene(sc) == []
         assert main(["validate", "moderate", "-k", repr(k)]) == 0
         out, err = capsys.readouterr()
         assert out.splitlines() == [f"scene ok: 3 cylinder(s), k = {k:g}"]

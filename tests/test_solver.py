@@ -129,6 +129,15 @@ class TestGmres:
         assert result.iterations == 0
         assert np.all(result.solution.data == 0.0)
 
+    def test_singular_system_raises(self):
+        # I + A = 0: the first Arnoldi step breaks down and the 1x1
+        # Hessenberg system is singular
+        op = BlockOperator(2, 1, np.zeros((6, 6), dtype=np.complex128))
+        rhs = CoefficientVector(np.ones((2, 3), dtype=np.complex128))
+        with pytest.raises(SingularSystemError) as exc:
+            solve(op, rhs, backend="gmres")
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_loose_tolerance_converges_fast(self, moderate_system):
         op, rhs = moderate_system
         loose = solve_gmres(op, rhs, tol=1e-4)
@@ -159,6 +168,15 @@ class TestReflections:
         ref = solve_dense(op, rhs).solution.flat()
         alt = solve_gmres(op, rhs).solution.flat()
         assert np.linalg.norm(alt - ref) < 1e-9 * np.linalg.norm(ref)
+
+    def test_zero_rhs(self, moderate_system):
+        op, rhs = moderate_system
+        zero = CoefficientVector(np.zeros_like(rhs.data))
+        result = solve_reflections(op, zero)
+        assert result.converged and not result.diverged
+        assert result.iterations == 0
+        assert result.residual == 0.0
+        assert np.all(result.solution.data == 0.0)
 
     def test_iteration_budget_is_respected(self, close_scene):
         op, rhs = assemble_system(close_scene, 8)
