@@ -27,10 +27,12 @@ threshold for eliding temporaries, so every value takes the same
 out-of-place loops however many points share a call.  Incident values are
 elementwise too, so each total-field value depends on its own point alone,
 bitwise.  A grid is carried as its two axes: each block takes its points
-from them, and the CSV writer formats each coordinate once.  So a grid
-costs 17 bytes per point (the complex values and the interior mask) plus
-one block's working set; on the far preset at N = 12 a 200x200 grid peaks
-at 1.6 MiB while evaluating and 2.3 MiB while writing (tracemalloc).
+from them, and the CSV writer formats each coordinate once.  No cylinder's
+arrays outlive its turn in a block, and the writer builds a block's text in
+tables of _TABLE_ROWS = 512 rows, about 64 KiB each.  So a grid costs 17
+bytes per point (the complex values and the interior mask) plus one block's
+working set; on the far preset at N = 12 `memscat field` on a 200x200 grid
+peaks at 1.5 MiB while evaluating and 1.4 MiB while writing (tracemalloc).
 total_field_grid checks the argument cap over all its exterior points
 before it evaluates any block.
 """
@@ -129,16 +131,19 @@ def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
         dx = pts[:, 0] - cyl.center[0]
         dy = pts[:, 1] - cyl.center[1]
         r = np.hypot(dx, dy)
+        z = (dx + 1j * dy) / r                      # e^{i theta_p}
+        del dx, dy
         x = k * r
+        del r
         # the anchors take any argument, so the envelope is checked here
         specfun._check_arg(x)
-        z = (dx + 1j * dy) / r                      # e^{i theta_p}
-        p_prev = (scipy.special.j0(x) + 1j * scipy.special.y0(x)) / h01[0, p]
-        p_cur = (scipy.special.j1(x) + 1j * scipy.special.y1(x)) / h01[1, p]
+        p_prev = _hankel_ratio(scipy.special.j0, scipy.special.y0, x, h01[0, p])
+        p_cur = _hankel_ratio(scipy.special.j1, scipy.special.y1, x, h01[1, p])
+        inv_x = 1.0 / x
+        del x
         pref = 0.25j * np.sqrt(2.0 * np.pi * cyl.radius)
         c = pref * weight[:, p]
         acc = (c[0] * phi.get(p, 0)) * p_prev
-        inv_x = 1.0 / x
         zm = z
         for m in range(1, N + 1):
             acc += p_cur * ((c[m] * phi.get(p, m)) * zm
@@ -147,6 +152,17 @@ def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
                                     - (step[m - 1, p] * step[m, p]) * p_prev)
             zm = zm * z
         out += acc
+        # so that none of this cylinder's arrays outlives it
+        del acc, p_prev, p_cur, zm, z, inv_x
+    return out
+
+
+def _hankel_ratio(j, y, x: np.ndarray, h) -> np.ndarray:
+    """(j(x) + i y(x)) / h, with j and y written straight into the result."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    j(x, out=out.real)
+    y(x, out=out.imag)
+    out /= h
     return out
 
 
@@ -245,7 +261,8 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
     and refuses, before any block is evaluated, exterior points with
     k r_p > ARG_CAP.  The values and the mask are the only full-size arrays,
     17 bytes per point; the rest is one block's working set.  The far
-    preset's 200x200 grid at N = 12 peaks at 1.6 MiB (tracemalloc).
+    preset's 200x200 grid at N = 12 peaks at 1.4 MiB, its 0.65 MiB of
+    values and mask included (tracemalloc).
     """
     xs = np.linspace(xlim[0], xlim[1], nx)
     ys = np.linspace(ylim[0], ylim[1], ny)
@@ -277,8 +294,9 @@ def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,
     for s in _blocks(n):
         ext = s.start + np.flatnonzero(~inside[s])
         pts = _grid_points(xs, ys, ext)
-        vals[ext] = (incident_field(scene, pts)
-                     + _scattered_block(scene, phi, tables, pts))
+        block = _scattered_block(scene, phi, tables, pts)
+        block += incident_field(scene, pts)
+        vals[ext] = block
     return xs, ys, vals.reshape(ny, nx), inside.reshape(ny, nx)
 
 
@@ -298,12 +316,18 @@ _SPLITTER = 134217729.0                 # 2^27 + 1, Dekker's split
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TIE_WINDOW = 2.0 ** -30
 _DIGITS_LO, _DIGITS_HI = 10 ** 16, 10 ** 17
+# rows per table of CSV text: a row's table is 127 bytes, about as much as
+# 8 complex values, so _BLOCK_POINTS // 8 rows (64 KiB) cost the writer
+# about what one block's complex values cost the evaluation
+_TABLE_ROWS = _BLOCK_POINTS // 8
 
 
 def _split(a: np.ndarray):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = _SPLITTER * a
+    lo = hi - a
+    hi -= lo                                # c - (c - a), c = _SPLITTER a
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 def _pow10(k: np.ndarray):
@@ -331,18 +355,40 @@ def _round_digits(a: np.ndarray, E: np.ndarray):
     p = a * hi
     ah, al = _split(a)
     bh, bl = _split(hi)
-    # p + err == a * hi exactly (Dekker's product; numpy has no FMA)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    del hi
+    # p + err == a * hi exactly (Dekker's product; numpy has no FMA):
+    # err = ((ah bh - p) + ah bl + al bh) + al bl, in that order
+    err = ah * bh
+    err -= p
+    ah *= bl
+    err += ah
+    del ah
+    bh *= al
+    err += bh
+    del bh
+    al *= bl
+    err += al
+    del al, bl
     # a 10^(16-E) == p + t up to a |10^k - hi - lo| and the roundings of
     # a * lo and of the sum: below 2^-46 in absolute terms while
     # a 10^(16-E) < 2^57.  From 2^53 on the double p is an integer, so the
     # digits are p + floor(t) plus the rounding of the fraction of t.
-    t = err + a * lo
+    lo *= a
+    t = err
+    t += lo                                 # err + a lo
+    del lo
     whole = np.floor(t)
-    frac = t - whole
-    floor = p.astype(np.int64) + whole.astype(np.int64)
-    return (floor + (frac > 0.5), floor < _DIGITS_LO,
-            np.abs(frac - 0.5) < _TIE_WINDOW)
+    frac = t
+    frac -= whole                           # t - whole
+    digits = p.astype(np.int64)
+    del p
+    digits += whole.astype(np.int64)
+    del whole
+    low = digits < _DIGITS_LO
+    digits += frac > 0.5
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    return digits, low, frac < _TIE_WINDOW
 
 
 def _format_column(values) -> np.ndarray:
@@ -362,11 +408,14 @@ def _format_column(values) -> np.ndarray:
     if x.size == 0:
         return planes.T
     a = np.abs(x)
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a = np.where(fast, a, 1.0)
-    E = np.floor(np.log10(a)).astype(np.int64)
+    slow = ~((a >= _FAST_MIN) & (a <= _FAST_MAX))
+    a[slow] = 1.0
+    E = np.log10(a)
+    np.floor(E, out=E)
+    E = E.astype(np.int64)
     d, low, near_tie = _round_digits(a, E)
-    slow = ~fast | low | near_tie | (d >= _DIGITS_HI)
+    del a
+    slow |= low | near_tie | (d >= _DIGITS_HI)
 
     # rows: sign, d0, '.', d1..d16, 'e', exponent sign, 2 or 3 digits
     planes[0] = np.where(np.signbit(x), ord("-"), 0)
@@ -401,11 +450,12 @@ def write_field_csv(path, xs, ys, U, inside) -> None:
     Every number is exactly Python's '{:.16e}' text, produced by
     `_format_column`, which falls back to '{:.16e}'.format itself wherever
     its own arithmetic cannot decide a digit.  Each axis is formatted once,
-    and each block of _BLOCK_POINTS rows gathers its coordinate text by row
-    index, formats its three value columns and is written in one call.  So
-    the writer adds one block's working set and the axes' text to U and
-    inside: the far preset's 200x200 grid at N = 12 peaks at 2.3 MiB while
-    written, its 0.65 MiB of U and inside included (tracemalloc).
+    and each block of _BLOCK_POINTS rows formats its three value columns,
+    then gathers its coordinate text by row index and is written in tables
+    of _TABLE_ROWS rows.  So the writer adds one block's value text, one
+    table and the axes' text to U and inside: the far preset's 200x200 grid
+    at N = 12 peaks at 1.4 MiB while written, its 0.65 MiB of U and inside
+    included (tracemalloc).
     """
     xs, ys = np.asarray(xs), np.asarray(ys)
     if xs.ndim != 1 or ys.ndim != 1:
@@ -420,26 +470,32 @@ def write_field_csv(path, xs, ys, U, inside) -> None:
     with open(path, "wb") as fh:
         fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
         for s in _blocks(flags.size):
-            fh.write(_csv_rows(x_text, y_text, _rows(s), u[s],
-                               flags[s].astype(bool)))
+            fh.writelines(_csv_rows(x_text, y_text, _rows(s), u[s],
+                                    flags[s].astype(bool)))
 
 
-def _csv_rows(x_text, y_text, rows, u, flag) -> np.ndarray:
-    """The CSV text of one block of grid rows, as a uint8 array; x_text and
-    y_text are the formatted axes."""
+def _csv_rows(x_text, y_text, rows, u, flag):
+    """The CSV text of one block of grid rows, as uint8 arrays of at most
+    _TABLE_ROWS rows each; x_text and y_text are the formatted axes."""
     re = np.where(flag, np.nan, u.real)
     im = np.where(flag, np.nan, u.imag)
-    cell = _TEXT_WIDTH + 1
-    table = np.zeros((rows.size, 5 * cell + 2), dtype=np.uint8)
-    table[:, :_TEXT_WIDTH] = x_text[rows % len(x_text)]
-    table[:, cell:cell + _TEXT_WIDTH] = y_text[rows // len(x_text)]
     # np.hypot is what abs() of a complex128 scalar computes
-    for i, column in enumerate((re, im, np.hypot(re, im)), start=2):
-        table[:, i * cell:(i + 1) * cell - 1] = _format_column(column)
-    table[:, cell - 1::cell] = ord(",")
-    table[:, -2] = flag + ord("0")
-    table[:, -1] = ord("\n")
-    return table[table != 0]
+    values = (_format_column(re), _format_column(im),
+              _format_column(np.hypot(re, im)))
+    del re, im
+    cell = _TEXT_WIDTH + 1
+    for i in range(0, rows.size, _TABLE_ROWS):
+        s = slice(i, i + _TABLE_ROWS)
+        part = rows[s]
+        table = np.zeros((part.size, 5 * cell + 2), dtype=np.uint8)
+        table[:, :_TEXT_WIDTH] = x_text[part % len(x_text)]
+        table[:, cell:cell + _TEXT_WIDTH] = y_text[part // len(x_text)]
+        for j, text in enumerate(values, start=2):
+            table[:, j * cell:(j + 1) * cell - 1] = text[s]
+        table[:, cell - 1::cell] = ord(",")
+        table[:, -2] = flag[s] + ord("0")
+        table[:, -1] = ord("\n")
+        yield table[table != 0]
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

@@ -220,5 +220,11 @@ def loads_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
+    """The scene in a YAML file; a malformed file raises
+    SceneValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scene(fh.read())
+        text = fh.read()
+    try:
+        return loads_scene(text)
+    except SceneValidationError as exc:
+        raise SceneValidationError(f"{path}: {exc}") from exc

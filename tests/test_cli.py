@@ -72,7 +72,7 @@ class TestValidate:
         code, _, err = run(capsys, command[0], str(path), *command[1:],
                            "-o", str(tmp_path))
         assert code == EXIT_VALIDATION
-        assert err.startswith("scene rejected:")
+        assert err.startswith(f"scene rejected: {path}: ")
         assert "Traceback" not in err
 
     def test_unknown_subcommand_is_config_error(self, capsys):

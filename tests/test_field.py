@@ -28,6 +28,7 @@ from memscat import specfun
 from memscat.assembly import CoefficientVector
 from memscat.field import (
     _BLOCK_POINTS,
+    _TABLE_ROWS,
     _format_column,
     _pow10,
     _scattered_unchecked,
@@ -322,6 +323,12 @@ class TestGrid:
                                   (-5.0, 16.0), side, side)
         assert blocks[3].any() and not blocks[3].all()
         assert _BLOCK_POINTS < blocks[3].size < 2 * _BLOCK_POINTS
+        # a partial table of _TABLE_ROWS rows, and interior rows on both
+        # sides of the first table's end
+        tables = total_field_grid(far_scene, far_phi, (-3.0, 3.0),
+                                  (-3.0, 3.0), 33, 31)
+        assert tables[3].size % _TABLE_ROWS
+        assert tables[3].ravel()[_TABLE_ROWS - 1:_TABLE_ROWS + 1].all()
         # axes with repeats, both signed zeros, a tiny and negative values
         xs = np.array([-7.25, -0.0, 0.0, 3.5, 1e-300, 19.0, -7.25])
         ys = np.random.default_rng(11).uniform(-20.0, 20.0, size=6)
@@ -332,7 +339,7 @@ class TestGrid:
         U = np.full(pts.shape[0], np.nan + 0j)
         U[~inside] = total_field(far_scene, far_phi, pts[~inside])
         axes = (xs, ys, U.reshape(X.shape), inside.reshape(X.shape))
-        for case in (grid, blocks, axes):
+        for case in (grid, blocks, tables, axes):
             write_field_csv(tmp_path / "new.csv", *case)
             row_writer(tmp_path / "old.csv", *case)
             assert ((tmp_path / "new.csv").read_bytes()
@@ -361,16 +368,22 @@ class TestGrid:
                     (sc.incident, point)
 
     @staticmethod
-    def grid_peak(scene, phi, n):
-        """tracemalloc peak of evaluating and writing an n x n far grid."""
+    def traced(f, *args):
+        """f(*args) and the tracemalloc peak of the call."""
         tracemalloc.start()
         try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @classmethod
+    def grid_peak(cls, scene, phi, n):
+        """tracemalloc peak of evaluating and writing an n x n far grid."""
+        def evaluate_and_write():
             grid = total_field_grid(scene, phi, (-6.0, 18.0), (-8.0, 20.0),
                                     n, n)
             write_field_csv(os.devnull, *grid)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return cls.traced(evaluate_and_write)[1]
 
     def test_memory_peak_of_a_large_grid(self, far_scene):
         # U and the mask take 17 bytes a point (1.5 MiB here); the blocks
@@ -385,6 +398,24 @@ class TestGrid:
         small = self.grid_peak(far_scene, phi, 300)
         large = self.grid_peak(far_scene, phi, 600)
         assert (large - small) / (600 ** 2 - 300 ** 2) < 20.0
+
+    def test_evaluation_working_set(self, far_scene, far_solution):
+        # beyond the values and mask it returns, evaluating the 200x200 far
+        # grid at N = 12 holds one block's arrays, and no cylinder's outlive
+        # its turn: 0.76 MiB measured
+        grid, peak = self.traced(total_field_grid, far_scene,
+                                 far_solution.solution, (-6.0, 18.0),
+                                 (-8.0, 20.0), 200, 200)
+        assert peak - sum(a.nbytes for a in grid) < 0.83 * 2 ** 20
+
+    def test_writer_working_set(self, far_scene, far_solution):
+        # beyond the arrays it is given, writing the 200x200 far grid holds
+        # one block's value text and one table of _TABLE_ROWS rows: 0.71 MiB
+        # measured
+        grid = total_field_grid(far_scene, far_solution.solution,
+                                (-6.0, 18.0), (-8.0, 20.0), 200, 200)
+        _, peak = self.traced(write_field_csv, os.devnull, *grid)
+        assert peak < 0.9 * 2 ** 20
 
     def test_argument_cap_is_checked_before_any_block(self, far_scene,
                                                       far_phi, monkeypatch):
