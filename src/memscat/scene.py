@@ -220,10 +220,13 @@ def loads_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    """The scene in a YAML file; a malformed file raises
-    SceneValidationError naming the file."""
+    """The scene in a YAML file; a malformed file, or one that is not UTF-8
+    text, raises SceneValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SceneValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return loads_scene(text)
     except SceneValidationError as exc:

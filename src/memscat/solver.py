@@ -5,7 +5,9 @@ Four routes with one result type:
 * dense      LAPACK factorization of the assembled matrix;
 * gmres      restarted GMRES (modified Gram-Schmidt Arnoldi + Givens
              rotations, following Kelley, "Iterative Methods for Linear
-             Systems", alg. 3.5.1), through BlockOperator.matvec only;
+             Systems", alg. 3.5.1), through BlockOperator.matvec only; one
+             Krylov basis per solve, (restart + 1) x dim complex values,
+             reused by every restart cycle;
 * reflections  parallel method of reflections phi <- g - A phi, i.e.
              Richardson iteration on (I + A) phi = g; three consecutive
              growths of the residual count as divergence (almost-touching
@@ -74,18 +76,23 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
     x = np.zeros_like(b)
     eta = tol * bnorm
     total_iters = 0
+    # one workspace per solve, zeroed and reused by every restart cycle; a
+    # short last cycle uses its leading rows and columns
+    restart = max(0, min(GMRES_DEFAULT_RESTART, max_iterations))
+    V = np.empty((restart + 1, b.size), dtype=np.complex128)
+    H = np.empty((restart + 1, restart), dtype=np.complex128)
+    cs = np.empty(restart, dtype=np.complex128)
+    sn = np.empty(restart, dtype=np.complex128)
+    gvec = np.empty(restart + 1, dtype=np.complex128)
 
     while total_iters < max_iterations:
         r = b - matvec(x)
         beta = float(np.linalg.norm(r))
         if beta <= eta:
             break
-        dim = min(GMRES_DEFAULT_RESTART, max_iterations - total_iters)
-        V = np.zeros((dim + 1, b.size), dtype=np.complex128)
-        H = np.zeros((dim + 1, dim), dtype=np.complex128)
-        cs = np.zeros(dim, dtype=np.complex128)
-        sn = np.zeros(dim, dtype=np.complex128)
-        gvec = np.zeros(dim + 1, dtype=np.complex128)
+        dim = min(restart, max_iterations - total_iters)
+        for work in (V, H, cs, sn, gvec):
+            work.fill(0.0)
         V[0] = r / beta
         gvec[0] = beta
         j_used = 0

@@ -75,6 +75,14 @@ class TestValidate:
         assert err.startswith(f"scene rejected: {path}: ")
         assert "Traceback" not in err
 
+    def test_non_utf8_file_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"scene rejected: {path}: not UTF-8 text: ")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_is_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify", "far"])

@@ -1,5 +1,8 @@
 """Solver backends: dense reference, GMRES, reflections, first-order."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from memscat import (
 from memscat.assembly import BlockOperator, CoefficientVector
 from memscat.solver import (
     BACKENDS,
+    GMRES_DEFAULT_RESTART,
     first_order_solution,
     solve_dense,
     solve_gmres,
@@ -33,6 +37,22 @@ def single_system():
 @pytest.fixture(scope="module")
 def moderate_system(moderate_scene):
     return assemble_system(moderate_scene, 10)
+
+
+@pytest.fixture(scope="module")
+def lattice_system():
+    """A 4x4 lattice (spacing 2.5, radius 1, k = 2) with centres jittered by
+    at most 0.1 and a plane wave at a random angle, at N = 6 (dim 208):
+    GMRES needs 87 iterations, so it restarts once."""
+    rng = np.random.default_rng(7)
+    cylinders = []
+    for i in range(4):
+        for j in range(4):
+            r, t = 0.1 * rng.uniform(), 2.0 * math.pi * rng.uniform()
+            cylinders.append(Cylinder((2.5 * i + r * math.cos(t),
+                                       2.5 * j + r * math.sin(t)), 1.0))
+    sc = Scene(tuple(cylinders), 2.0, PlaneWave(2.0 * math.pi * rng.uniform()))
+    return assemble_system(sc, 6)
 
 
 class TestSingleCylinder:
@@ -137,6 +157,39 @@ class TestGmres:
         with pytest.raises(SingularSystemError) as exc:
             solve(op, rhs, backend="gmres")
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_converges_across_a_restart(self, lattice_system):
+        op, rhs = lattice_system
+        result = solve_gmres(op, rhs)
+        assert result.converged
+        assert result.iterations > GMRES_DEFAULT_RESTART
+        ref = solve_dense(op, rhs).solution.flat()
+        assert np.linalg.norm(result.solution.flat() - ref) \
+            < 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("budget", [20, 60])
+    def test_iteration_budget_is_respected(self, lattice_system, budget):
+        # 60 stops in the second cycle, 20 inside the first
+        op, rhs = lattice_system
+        result = solve_gmres(op, rhs, max_iterations=budget)
+        assert result.iterations == budget
+        assert not result.converged
+
+    def test_one_krylov_basis_per_solve(self, lattice_system):
+        # the restart reuses the first cycle's workspace: the peak above the
+        # inputs is one basis of (restart + 1) x dim complex values plus the
+        # Hessenberg matrix and a few vectors (1.42 bases here), where a
+        # fresh workspace per cycle holds two bases at the restart (2.35)
+        op, rhs = lattice_system
+        basis = (GMRES_DEFAULT_RESTART + 1) * op.matrix.shape[0] * 16
+        tracemalloc.start()
+        try:
+            result = solve_gmres(op, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations > GMRES_DEFAULT_RESTART
+        assert peak / basis < 1.75
 
     def test_loose_tolerance_converges_fast(self, moderate_system):
         op, rhs = moderate_system
