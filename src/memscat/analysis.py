@@ -1,5 +1,5 @@
-"""Convergence experiments: truncation-error sweeps, decay envelopes, rate
-fits, and the bound-side series they are compared against.
+"""Convergence experiments: truncation-error sweeps, decay envelopes and rate
+fits.
 
 The experiment protocol: solve the preconditioned system at a reference
 truncation N_ref = max(N) + 5, then for each N measure
@@ -40,8 +40,6 @@ THEOREM_SLACK_PER_N = 0.05
 # first-order validity heuristic: surface gap between the two largest
 # cylinders must exceed this multiple of the second radius
 BREAKDOWN_GAP_FACTOR = 1.25
-# sigma_series_raw stops once a term falls below this fraction of the sum
-_SIGMA_RTOL = 1e-18
 
 
 @dataclass
@@ -236,91 +234,6 @@ def fit_rate(truncations, values, tail_fraction: float = FIT_TAIL_FRACTION,
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-24 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return RateFit(float(slope), float(intercept), float(r2), int(n.size),
                    int(n[0]), int(n[-1]))
-
-
-def theorem_slack(report: ConvergenceReport, envelope: str = "gamma1",
-                  slack_per_n: float = THEOREM_SLACK_PER_N) -> float:
-    """The smallest C with log E(N) <= log gamma(N) + slack*N + C over the
-    N window of the E rate fit, or inf when E or gamma is not positive
-    there.  C is finite for any positive errors, so it measures where E
-    sits against the envelope; it does not by itself test the bound."""
-    fit = report.rates.get("E")
-    if fit is None:
-        raise InsufficientPointsError("no E rate fit available")
-    g = report.gamma1 if envelope == "gamma1" else report.gamma2
-    mask = (report.truncations >= fit.n_lo) & (report.truncations <= fit.n_hi)
-    e = report.errors[mask]
-    gv = g[mask]
-    nv = report.truncations[mask]
-    if np.any(e <= 0) or np.any(gv <= 0):
-        return float("inf")
-    return float(np.max(np.log(e) - np.log(gv) - slack_per_n * nv))
-
-
-def onset_truncation(report: ConvergenceReport, factor: float = 10.0):
-    """First N with E(N) < E(N_first)/factor; None if never reached."""
-    e0 = report.errors[0]
-    below = np.nonzero(report.errors < e0 / factor)[0]
-    return int(report.truncations[below[0]]) if below.size else None
-
-
-# ---------------------------------------------------------------------------
-# bound-side series
-# ---------------------------------------------------------------------------
-
-def sigma_series_raw(m: int, a_p: float, a_q: float, d: float,
-                     kind: str = "standard", d_qx0: float | None = None,
-                     wavenumber: float | None = None,
-                     n_max: int = 100000) -> float:
-    """Sum over n >= 1 of the coupling-tail envelope terms
-
-      standard:      ((m+n)/m)^2m ((m+n)/n)^2n (a_p/d)^2m (a_q/d)^2n
-      point_source:  same with the last factor (a_q^2/(d d_qx0))^2n
-      plane_wave:    same with the last factor (e k a_q^2/(2 d n))^2n
-
-    evaluated in log space (the binomial-like factors overflow long before
-    the products do).  The 2m-th root of the standard sum converges to
-    a_p/(d - a_q) as m grows, which is the base the worst-case envelope
-    uses; the variants encode the extra per-mode decay of the incident
-    coefficients and yield the refined envelope bases.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if kind == "point_source":
-        if d_qx0 is None:
-            raise ValueError("point_source kind needs d_qx0")
-        log_last = 2.0 * (np.log(a_q * a_q) - np.log(d * d_qx0))
-    elif kind == "plane_wave":
-        if wavenumber is None:
-            raise ValueError("plane_wave kind needs wavenumber")
-        log_last = 2.0 * np.log(np.e * wavenumber * a_q * a_q / (2.0 * d))
-    elif kind == "standard":
-        log_last = 2.0 * np.log(a_q / d)
-    else:
-        raise ValueError(f"unknown sigma kind {kind!r}")
-    log_ap = 2.0 * m * np.log(a_p / d)
-    total = 0.0
-    prev_term = None
-    growth_run = 0
-    for n in range(1, n_max + 1):
-        log_t = (2.0 * m * np.log((m + n) / m) + 2.0 * n * np.log((m + n) / n)
-                 + log_ap + n * log_last)
-        if kind == "plane_wave":
-            log_t -= 2.0 * n * np.log(n)
-        term = np.exp(log_t)
-        total += term
-        if prev_term is not None and term >= prev_term:
-            growth_run += 1
-            if growth_run >= 50 and term > total * 1e-6:
-                raise NonConvergenceError(
-                    f"sigma series not contracting (term ratio >= 1 for "
-                    f"{growth_run} consecutive n at n={n}); geometry too tight")
-        else:
-            growth_run = 0
-        prev_term = term
-        if term < _SIGMA_RTOL * total:
-            return float(total)
-    raise NonConvergenceError(f"sigma series needed more than {n_max} terms")
 
 
 def breakdown_check(scene: Scene) -> BreakdownReport:

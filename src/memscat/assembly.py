@@ -24,12 +24,13 @@ special-function products are combined in scaled (mantissa, exponent-of-2)
 arithmetic before conversion, so high modes neither overflow nor underflow.
 
 The entries of `assemble_raw` are certified against a quadrature route
-(`pairing_block_quadrature`, `incident_trace_quadrature`) that knows
-nothing about Graf's theorem: plain tensor trapezoid between distinct circles
-and Kress' log-singularity rule (Linear Integral Equations, ch. 12) on a
-single circle, with the kernel evaluated by scipy.special.  Since both
-assemblies read the same tables, the certification covers the tables that
-production solves use.
+(`pairing_block_quadrature`) that knows nothing about Graf's theorem: plain
+tensor trapezoid between distinct circles and Kress' log-singularity rule
+(Linear Integral Equations, ch. 12) on a single circle, with the kernel
+evaluated by scipy.special.  Its rhs f is certified by a trapezoid rule
+that lives in the tests (`incident_trace_quadrature` in
+tests/instruments.py).  Since both assemblies read the same tables, the
+certification covers the tables that production solves use.
 """
 
 from __future__ import annotations
@@ -467,25 +468,6 @@ def pairing_block_quadrature(scene: Scene, p: int, q: int, N: int,
     inner = rw * amat + h * bmat            # quadrature in t for each s_i
     pref = a_p * a_p * h / (2.0 * np.pi * a_p)
     return pref * (row @ inner @ col)
-
-
-def incident_trace_quadrature(scene: Scene, p: int, m: int,
-                              n_quad: int = 512) -> complex:
-    """Reference for f of assemble_raw: -int u_inc conj(b_m^p), trapezoid."""
-    k = scene.wavenumber
-    a_p = scene.cylinders[p].radius
-    c = np.asarray(scene.cylinders[p].center)
-    s = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    x = c[None, :] + a_p * np.stack([np.cos(s), np.sin(s)], axis=1)
-    if isinstance(scene.incident, PlaneWave):
-        beta_hat = scene.incident.angle
-        u = np.exp(1j * k * (x[:, 0] * np.cos(beta_hat) + x[:, 1] * np.sin(beta_hat)))
-    else:
-        x0 = np.asarray(scene.incident.location)
-        r = np.hypot(x[:, 0] - x0[0], x[:, 1] - x0[1])
-        u = 0.25j * scipy.special.hankel1(0, k * r)
-    w = a_p * (2.0 * np.pi / n_quad) / np.sqrt(2.0 * np.pi * a_p)
-    return complex(-w * np.sum(u * np.exp(-1j * m * s)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,15 @@ def _cmd_sweep(args) -> int:
             f"N = {args.n_max + margin} (n-max + {margin}), and "
             f"N <= {TRUNCATION_CAP}")
     ks = args.k if args.k else [sc.wavenumber]
+    # artifacts are named by {k:g}: two values that print alike would
+    # write the same files
+    writers: dict[str, float] = {}
+    for k in ks:
+        name = f"{stem}_sweep_k{k:g}.csv"
+        if name in writers:
+            raise ValueError(f"--k {writers[name]!r} and --k {k!r} would "
+                             f"both write {name}")
+        writers[name] = k
     # each k is swept on its own; the exit code is the gravest outcome,
     # a numerical failure (2) over a refused k (1)
     status = EXIT_OK

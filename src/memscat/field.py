@@ -175,10 +175,6 @@ def _scattered_unchecked(scene: Scene, phi: CoefficientVector,
     return out
 
 
-def total_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
-    return incident_field(scene, points) + scattered_field(scene, phi, points)
-
-
 def single_layer_field_quadrature(scene: Scene, phi: CoefficientVector,
                                   points, n_quad: int = 512) -> np.ndarray:
     """Trapezoid quadrature of the layer potential; independent oracle for
@@ -220,33 +216,6 @@ def boundary_residual(scene: Scene, phi: CoefficientVector,
                           for cyl in scene.cylinders])
     vals = incident_field(scene, pts) + _scattered_unchecked(scene, phi, pts)
     return float(np.max(np.abs(vals)))
-
-
-def far_field_amplitude(scene: Scene, phi: CoefficientVector, angles) -> np.ndarray:
-    """Limit amplitude F with u_s(r, theta) ~ e^{ikr} F(theta) / sqrt(r).
-
-    Substitutes the large-argument Hankel form and the r_p ~ r - x_hat.O_p
-    phase reduction into the radiation sum.
-    """
-    th = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    k = scene.wavenumber
-    N = phi.truncation
-    xhat = np.stack([np.cos(th), np.sin(th)], axis=1)
-    out = np.zeros(th.size, dtype=np.complex128)
-    root = np.sqrt(2.0 / (np.pi * k)) * np.exp(-0.25j * np.pi)
-    jall = specfun.scaled_to_float(
-        *specfun.bessel_j_grid_scaled(N, k * scene.radii()))
-    for p, cyl in enumerate(scene.cylinders):
-        j = jall[:, p]
-        carrier = np.exp(-1j * k * (xhat @ np.asarray(cyl.center)))
-        pref = 0.25j * np.sqrt(2.0 * np.pi * cyl.radius) * root
-        acc = phi.get(p, 0) * j[0] * np.ones_like(th, dtype=np.complex128)
-        for m in range(1, N + 1):
-            phase = np.exp(1j * m * th)
-            acc = acc + ((-1j) ** m) * j[m] * (phi.get(p, m) * phase
-                                               + phi.get(p, -m) / phase)
-        out += pref * carrier * acc
-    return out
 
 
 def total_field_grid(scene: Scene, phi: CoefficientVector, xlim, ylim,

@@ -85,8 +85,8 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
     sn = np.empty(restart, dtype=np.complex128)
     gvec = np.empty(restart + 1, dtype=np.complex128)
 
+    r = b
     while total_iters < max_iterations:
-        r = b - matvec(x)
         beta = float(np.linalg.norm(r))
         if beta <= eta:
             break
@@ -128,6 +128,7 @@ def solve_gmres(op: BlockOperator, rhs: CoefficientVector,
         x = x + V[:j_used].T @ y
         if abs(gvec[j_used]) <= eta or total_iters >= max_iterations:
             break
+        r = b - matvec(x)
 
     sol = CoefficientVector.from_flat(x, M, N)
     res = _residual_norm(op, rhs, sol)

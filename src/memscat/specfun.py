@@ -1,5 +1,4 @@
-"""Cylinder Bessel functions with an extended exponent range, plus a
-hypergeometric helper that only the tests call.
+"""Cylinder Bessel functions with an extended exponent range.
 
 Why not scipy.special alone: the multipole blocks need J_m and H_m^(1) up to
 order 200 at arguments as small as k*a ~ 1e-3, where J underflows (J_200(0.3)
@@ -228,37 +227,3 @@ def hankel1(m: int, x: float) -> complex:
     """H_m^(1)(x) = complex(J_m(x), Y_m(x)); parity rule for negative orders."""
     return complex(bessel_j(m, x), bessel_y(m, x))
 
-
-# ---------------------------------------------------------------------------
-# hypergeometric helpers
-# ---------------------------------------------------------------------------
-
-def hyp2f1_peaked(m: int, z: float) -> float:
-    """2F1(m+1, m+1; 1; z) for integer m >= 0 and 0 <= z < 1.
-
-    Uses the Pfaff transform to a terminating sum,
-
-        (1-z)^{-(m+1)} 2F1(m+1, -m; 1; z/(z-1)),
-
-    whose m+1 terms are all positive, so there is no cancellation; errors stay
-    at a few ulp.  The direct series would need ~m/(1-z) terms near z = 1.
-    Grows like (1-sqrt(z))^{-2m}; raises OverflowError when that leaves the
-    double range (around m = 60 at z = 0.9 the value is ~1e155, still fine;
-    m = 200 there is not).
-    """
-    m = int(m)
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if not (0.0 <= z < 1.0):
-        raise ValueError("z must lie in [0, 1)")
-    w = z / (z - 1.0)
-    s = 1.0
-    t = 1.0
-    for j in range(m):
-        t *= (m + 1.0 + j) * (j - m) / ((j + 1.0) ** 2) * w
-        s += t
-    with np.errstate(over="ignore"):
-        out = s * (1.0 - z) ** (-(m + 1.0))
-    if not np.isfinite(out):
-        raise OverflowError("2F1 value exceeds double-precision range")
-    return float(out)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import test_specfun as specfun_checks
+from instruments import (far_field_amplitude, hyp2f1_peaked, onset_truncation,
+                         sigma_series_raw, theorem_slack)
 from memscat import (
     Cylinder,
     PointSource,
@@ -19,17 +21,14 @@ from memscat import (
     assemble_system,
     boundary_residual,
     convergence_sweep,
-    far_field_amplitude,
     gamma1,
     preset_scene,
     scattered_field,
     solve,
 )
-from memscat.analysis import (THEOREM_SLACK_PER_N, onset_truncation,
-                              sigma_series_raw, theorem_slack)
+from memscat.analysis import THEOREM_SLACK_PER_N
 from memscat.assembly import assemble_raw, pairing_block_quadrature
 from memscat.field import interior_mask, single_layer_field_quadrature
-from memscat import specfun
 
 TRUNCATIONS = range(1, 26)
 N_REF = 30
@@ -176,7 +175,7 @@ def test_criterion_07_bound_side_series_behave():
     target = 2.0 / (6.0 - 1.0)
     dev = abs(root - target) / target
     z = 0.25
-    val = specfun.hyp2f1_peaked(60, z)
+    val = hyp2f1_peaked(60, z)
     per_order = (1.0 - math.sqrt(z)) ** -2
     ratio = math.exp(math.log(val) / 60.0) / per_order
     ok = dev < 0.05 and ratio <= 1.01

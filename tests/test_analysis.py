@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from instruments import (hyp2f1_peaked, onset_truncation, sigma_series_raw,
+                         theorem_slack)
 from memscat import (
     Cylinder,
     InsufficientPointsError,
@@ -27,15 +29,11 @@ from memscat import (
 from memscat.analysis import (
     REFERENCE_MARGIN,
     breakdown_check,
-    onset_truncation,
-    sigma_series_raw,
-    theorem_slack,
     write_bounds_csv,
     write_report_csv,
 )
 from memscat.assembly import CoefficientVector
 from memscat.scene import pairwise_geometry
-from memscat import specfun
 
 
 def plane_pair(d, r1=1.0, r2=1.0, k=0.6):
@@ -310,7 +308,7 @@ class TestSigmaSeries:
         # at z = (a_q/d)^2; the measured constant hovers near 1.
         for m in (5, 10, 20, 40):
             s = sigma_series_raw(m, 2.0, 1.0, 6.0)
-            f = specfun.hyp2f1_peaked(m, (1.0 / 6.0) ** 2)
+            f = hyp2f1_peaked(m, (1.0 / 6.0) ** 2)
             assert s <= 2.0 * m * (2.0 / 6.0) ** (2 * m) * f
 
     def test_incident_kinds_only_add_decay(self, moderate_scene):

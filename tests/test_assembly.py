@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from instruments import incident_trace_quadrature
 from memscat import (
     CapabilityError,
     CoefficientVector,
@@ -26,7 +27,6 @@ from memscat.assembly import (
     _kress_log_weights,
     assemble_raw,
     dump_system,
-    incident_trace_quadrature,
     load_system_dump,
     mode_range,
     mode_weights,

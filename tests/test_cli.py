@@ -270,6 +270,19 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "far_sweep_k0.6.csv", "far_sweep_k0.6.gp"]
 
+    @pytest.mark.parametrize("second", ["0.6000001", "0.6"])
+    def test_wavenumbers_sharing_a_file_name_are_refused(self, capsys,
+                                                         tmp_path, second):
+        # {k:g} keeps 6 significant digits, so both would write k0.6
+        code, out, err = run(capsys, "sweep", "far", "--n-max", "6",
+                             "--k", "0.6", "--k", second,
+                             "-o", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert f"--k 0.6 and --k {second} would both write " \
+               "far_sweep_k0.6.csv" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_reference_beyond_order_cap_fails(self, capsys, tmp_path):
         # the reference solve takes N = n_max + 5 = 101 > 100
         code, _, err = run(capsys, "sweep", "far", "--n-min", "94",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instruments import far_field_amplitude, total_field
 from memscat import (
     CapabilityError,
     Cylinder,
@@ -18,10 +19,8 @@ from memscat import (
     Scene,
     assemble_system,
     boundary_residual,
-    far_field_amplitude,
     scattered_field,
     solve,
-    total_field,
 )
 from memscat import field as field_module
 from memscat import specfun

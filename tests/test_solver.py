@@ -55,6 +55,18 @@ def lattice_system():
     return assemble_system(sc, 6)
 
 
+def count_matvecs(monkeypatch) -> list:
+    """Record every BlockOperator.matvec call in the returned list."""
+    calls = []
+    matvec = BlockOperator.matvec
+
+    def counted(self, vec):
+        calls.append(vec)
+        return matvec(self, vec)
+    monkeypatch.setattr(BlockOperator, "matvec", counted)
+    return calls
+
+
 class TestSingleCylinder:
     def test_dense_returns_rhs_exactly(self, single_system):
         op, rhs = single_system
@@ -141,13 +153,17 @@ class TestGmres:
             counts[preset] = solve_gmres(op, rhs).iterations
         assert counts["close"] >= counts["far"]
 
-    def test_zero_rhs(self, moderate_system):
+    def test_zero_rhs(self, moderate_system, monkeypatch):
         op, rhs = moderate_system
         zero = CoefficientVector(np.zeros_like(rhs.data))
+        calls = count_matvecs(monkeypatch)
         result = solve_gmres(op, zero)
         assert result.converged
         assert result.iterations == 0
         assert np.all(result.solution.data == 0.0)
+        # the first cycle starts from r = b without a matvec; the one call
+        # is the final residual
+        assert len(calls) == 1
 
     def test_singular_system_raises(self):
         # I + A = 0: the first Arnoldi step breaks down and the 1x1
@@ -168,12 +184,17 @@ class TestGmres:
             < 1e-9 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("budget", [20, 60])
-    def test_iteration_budget_is_respected(self, lattice_system, budget):
+    def test_iteration_budget_is_respected(self, lattice_system, budget,
+                                           monkeypatch):
         # 60 stops in the second cycle, 20 inside the first
         op, rhs = lattice_system
+        calls = count_matvecs(monkeypatch)
         result = solve_gmres(op, rhs, max_iterations=budget)
         assert result.iterations == budget
         assert not result.converged
+        # one per Arnoldi step, one residual per restart, one final residual
+        restarts = (budget - 1) // GMRES_DEFAULT_RESTART
+        assert len(calls) == budget + restarts + 1
 
     def test_one_krylov_basis_per_solve(self, lattice_system):
         # the restart reuses the first cycle's workspace: the peak above the

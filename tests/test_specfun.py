@@ -1,4 +1,5 @@
-"""Tests for the scaled Bessel/Hankel stack and the hypergeometric helper.
+"""Tests for the scaled Bessel/Hankel stack and the hypergeometric helper
+of tests/instruments.py.
 
 Reference values were computed with 40-digit arbitrary-precision arithmetic
 and frozen here as literals; the module under test never sees them until the
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from instruments import hyp2f1_peaked
 from memscat import specfun
 from memscat.errors import CapabilityError
 
@@ -355,12 +357,12 @@ class TestDomainAndCaps:
 
 class TestHyp2F1Peaked:
     def test_degenerate_cases(self):
-        assert specfun.hyp2f1_peaked(5, 0.0) == 1.0
-        assert specfun.hyp2f1_peaked(0, 0.5) == pytest.approx(2.0, rel=1e-14)
+        assert hyp2f1_peaked(5, 0.0) == 1.0
+        assert hyp2f1_peaked(0, 0.5) == pytest.approx(2.0, rel=1e-14)
 
     def test_reference_value(self):
         # 2F1(2, 2; 1; 1/4) = 80/27.
-        assert specfun.hyp2f1_peaked(1, 0.25) == pytest.approx(
+        assert hyp2f1_peaked(1, 0.25) == pytest.approx(
             2.962962962962963, rel=1e-13)
 
     def test_against_direct_series(self):
@@ -375,8 +377,8 @@ class TestHyp2F1Peaked:
                     total += term
                     if term < 1e-16 * total or n > 5000:
                         break
-                assert specfun.hyp2f1_peaked(m, z) == pytest.approx(total,
-                                                                    rel=1e-8)
+                assert hyp2f1_peaked(m, z) == pytest.approx(total,
+                                                            rel=1e-8)
 
     def test_root_growth_bound(self):
         # (1-sqrt(z))^{-2} is the per-order growth base (saddle point of the
@@ -384,23 +386,23 @@ class TestHyp2F1Peaked:
         # power tends to 1 from below.
         z = 0.25
         m = 60
-        val = specfun.hyp2f1_peaked(m, z)
+        val = hyp2f1_peaked(m, z)
         per_order = (1.0 - math.sqrt(z)) ** -2
         ratio = math.exp(math.log(val) / m) / per_order
         assert 0.9 <= ratio <= 1.01
 
     def test_per_order_growth_converges_to_the_base(self):
         z = 0.25
-        r = specfun.hyp2f1_peaked(60, z) / specfun.hyp2f1_peaked(59, z)
+        r = hyp2f1_peaked(60, z) / hyp2f1_peaked(59, z)
         assert r == pytest.approx((1.0 - math.sqrt(z)) ** -2, rel=0.02)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            specfun.hyp2f1_peaked(-1, 0.5)
+            hyp2f1_peaked(-1, 0.5)
         with pytest.raises(ValueError):
-            specfun.hyp2f1_peaked(3, 1.0)
+            hyp2f1_peaked(3, 1.0)
 
     def test_overflow_is_loud(self):
         with pytest.raises(OverflowError):
-            specfun.hyp2f1_peaked(150, 0.9)
+            hyp2f1_peaked(150, 0.9)
 
