@@ -62,6 +62,13 @@ class ConvergenceReport:
     n_ref: int
     rates: dict
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """Curves by name in CSV order: E, gamma1, gamma2[, E1_surrogate]."""
+        cols = {"E": self.errors, "gamma1": self.gamma1, "gamma2": self.gamma2}
+        if self.e1_surrogate is not None:
+            cols["E1_surrogate"] = self.e1_surrogate
+        return cols
+
 
 @dataclass
 class BreakdownReport:
@@ -172,25 +179,21 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
             _converged_solution(op_ref.restrict(int(n)),
                                 rhs_ref.restrict(int(n)), backend), norm)
         for n in truncations])
-    g1 = gamma1(scene, truncations)
-    g2 = gamma2(scene, truncations)
     surrogate = None
     if include_surrogate:
         surrogate = np.array([_first_order_surrogate(op_ref, rhs_ref, int(n), norm)
                               for n in truncations])
-    rates = {}
-    curves = {"E": errors, "gamma1": g1, "gamma2": g2}
-    if surrogate is not None:
-        curves["E1_surrogate"] = surrogate
-    for name, vals in curves.items():
+    report = ConvergenceReport(
+        truncations, errors, gamma1(scene, truncations),
+        gamma2(scene, truncations), surrogate, n_ref, {})
+    for name, vals in report.columns().items():
         try:
-            rates[name] = fit_rate(truncations, vals,
-                                   tail_fraction=FIT_TAIL_FRACTION,
-                                   floor=FIT_FLOOR, ceiling=FIT_CEILING)
+            report.rates[name] = fit_rate(truncations, vals,
+                                          tail_fraction=FIT_TAIL_FRACTION,
+                                          floor=FIT_FLOOR, ceiling=FIT_CEILING)
         except InsufficientPointsError:
-            rates[name] = None
-    return ConvergenceReport(truncations, errors, g1, g2, surrogate, n_ref,
-                             rates)
+            report.rates[name] = None
+    return report
 
 
 def _converged_solution(op: BlockOperator, rhs: CoefficientVector,
@@ -259,25 +262,20 @@ def breakdown_check(scene: Scene) -> BreakdownReport:
 
 def write_report_csv(report: ConvergenceReport, path) -> None:
     """CSV with header N,E,gamma1,gamma2[,E1_surrogate]; 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = "N,E,gamma1,gamma2"
-        if report.e1_surrogate is not None:
-            cols += ",E1_surrogate"
-        fh.write(cols + "\n")
-        for i, n in enumerate(report.truncations):
-            row = (f"{int(n)},{report.errors[i]:.16e},"
-                   f"{report.gamma1[i]:.16e},{report.gamma2[i]:.16e}")
-            if report.e1_surrogate is not None:
-                row += f",{report.e1_surrogate[i]:.16e}"
-            fh.write(row + "\n")
+    _write_table(path, report.truncations, report.columns())
 
 
 def write_bounds_csv(scene: Scene, truncations, path) -> None:
     """Envelope tables without any solving: header N,gamma1,gamma2."""
     truncations = np.asarray(sorted(int(n) for n in truncations))
-    g1 = gamma1(scene, truncations)
-    g2 = gamma2(scene, truncations)
+    _write_table(path, truncations, {"gamma1": gamma1(scene, truncations),
+                                     "gamma2": gamma2(scene, truncations)})
+
+
+def _write_table(path, truncations, columns: dict) -> None:
+    """The N column, then each named column as '.16e' text, one row per N."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("N,gamma1,gamma2\n")
-        for i, n in enumerate(truncations):
-            fh.write(f"{int(n)},{g1[i]:.16e},{g2[i]:.16e}\n")
+        fh.write(",".join(["N", *columns]) + "\n")
+        for n, *values in zip(truncations, *columns.values()):
+            fh.write(",".join([str(int(n)), *(f"{v:.16e}" for v in values)])
+                     + "\n")

@@ -70,13 +70,27 @@ def _truncation_range(args) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
-def _load_scene(token: str, wavenumber: float | None):
-    """The scene SCENE names, with -k applied, and the stem of its artifacts."""
+def _load_scene(token: str, wavenumber: float | None = None, validate=True):
+    """The scene SCENE names, at `wavenumber` if one is given and checked by
+    require_valid unless `validate` is false, and the stem of its artifacts."""
     sc = (presets.preset_scene(token) if token in presets.PRESET_NAMES
           else scene_mod.load_scene(token))
     if wavenumber is not None:
         sc = dataclasses.replace(sc, wavenumber=float(wavenumber))
+    if validate:
+        scene_mod.require_valid(sc)
     return sc, os.path.splitext(os.path.basename(token))[0]
+
+
+def _solve_scene(args, dump_path=None):
+    """The checked scene, the stem of its artifacts and its solve at -N.  The
+    system is dropped on return, so `field` does not hold it through field
+    evaluation and output, which set that command's memory peak."""
+    sc, stem = _load_scene(args.scene, args.wavenumber)
+    op, rhs = assemble_system(sc, args.truncation)
+    if dump_path:
+        dump_system(op, sc, dump_path)
+    return sc, stem, solver.solve(op, rhs, backend=args.backend)
 
 
 def _outpath(args, name: str) -> str:
@@ -102,7 +116,7 @@ def _warn_high_k(args, k: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    sc, _ = _load_scene(args.scene, args.wavenumber)
+    sc, _ = _load_scene(args.scene, args.wavenumber, validate=False)
     violations = scene_mod.validate_scene(sc)
     for v in violations:
         print(f"violation: {v}")
@@ -114,12 +128,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    sc, stem = _load_scene(args.scene, args.wavenumber)
-    scene_mod.require_valid(sc)
-    op, rhs = assemble_system(sc, args.truncation)
-    if args.dump_matrix:
-        dump_system(op, sc, args.dump_matrix)
-    res = solver.solve(op, rhs, backend=args.backend)
+    sc, stem, res = _solve_scene(args, args.dump_matrix)
     if res.diverged:
         print("reflections iteration diverged (update norm grew for 3 "
               "consecutive steps); no solution written", file=sys.stderr)
@@ -135,14 +144,12 @@ def _cmd_solve(args) -> int:
     print(f"backend={res.backend} iterations={res.iterations} "
           f"residual={res.residual:.3e} converged={res.converged}")
     print(f"wrote {path}")
-    if not res.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NUMERICAL
 
 
 def _cmd_sweep(args) -> int:
-    sc, stem = _load_scene(args.scene, args.wavenumber)
-    scene_mod.require_valid(sc)
+    # the file's own k is checked only when swept; the loop checks each k
+    sc, stem = _load_scene(args.scene, validate=not args.k)
     truncations = _truncation_range(args)
     margin = analysis.REFERENCE_MARGIN
     if args.n_max + margin > TRUNCATION_CAP:
@@ -154,17 +161,17 @@ def _cmd_sweep(args) -> int:
     ks = args.k if args.k else [sc.wavenumber]
     # artifacts are named by {k:g}: two values that print alike would
     # write the same files
-    writers: dict[str, float] = {}
+    swept: dict[str, float] = {}
     for k in ks:
-        name = f"{stem}_sweep_k{k:g}.csv"
-        if name in writers:
-            raise ValueError(f"--k {writers[name]!r} and --k {k!r} would "
-                             f"both write {name}")
-        writers[name] = k
+        name = f"{stem}_sweep_k{k:g}"
+        if name in swept:
+            raise ValueError(f"--k {swept[name]!r} and --k {k!r} would "
+                             f"both write {name}.csv")
+        swept[name] = k
     # each k is swept on its own; the exit code is the gravest outcome,
     # a numerical failure (2) over a refused k (1)
     status = EXIT_OK
-    for k in ks:
+    for name, k in swept.items():
         sck = dataclasses.replace(sc, wavenumber=float(k))
         violations = scene_mod.validate_scene(sck)
         for v in violations:
@@ -180,16 +187,14 @@ def _cmd_sweep(args) -> int:
             print(f"numerical failure at k = {k:g}: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
             continue
-        csv_path = _outpath(args, f"{stem}_sweep_k{k:g}.csv")
+        csv_path = _outpath(args, f"{name}.csv")
         analysis.write_report_csv(rep, csv_path)
-        gp_path = _outpath(args, f"{stem}_sweep_k{k:g}.gp")
-        _write_sweep_plot(gp_path, f"{stem}_sweep_k{k:g}.csv",
-                          surrogate=args.first_order)
+        _write_sweep_plot(_outpath(args, f"{name}.gp"), f"{name}.csv",
+                          rep.columns())
         print(f"wrote {csv_path}")
-        for name in ("E", "gamma1", "gamma2", "E1_surrogate"):
-            fit = rep.rates.get(name)
+        for curve, fit in rep.rates.items():
             if fit is not None:
-                print(f"  rate[{name}]: slope {fit.slope:+.4f} "
+                print(f"  rate[{curve}]: slope {fit.slope:+.4f} "
                       f"(R^2 {fit.r_squared:.4f}, N {fit.n_lo}..{fit.n_hi})")
         bd = analysis.breakdown_check(sck)
         if not bd.first_order_valid:
@@ -199,8 +204,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    sc, stem = _load_scene(args.scene, args.wavenumber)
-    scene_mod.require_valid(sc)
+    sc, stem = _load_scene(args.scene)
     truncations = _truncation_range(args)
     path = _outpath(args, f"{stem}_bounds.csv")
     analysis.write_bounds_csv(sc, truncations, path)
@@ -209,13 +213,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    sc, stem = _load_scene(args.scene, args.wavenumber)
-    scene_mod.require_valid(sc)
-    # the system is dropped once solved, so it is not held through the
-    # field evaluation and output, which set this command's memory peak
-    res = solver.solve(*assemble_system(sc, args.truncation),
-                       backend=args.backend)
-    if res.diverged or not res.converged:
+    sc, stem, res = _solve_scene(args)
+    if not res.converged:
         print("solver did not converge; no field written", file=sys.stderr)
         return EXIT_NUMERICAL
     xs, ys, U, inside = field.total_field_grid(
@@ -229,23 +228,22 @@ def _cmd_field(args) -> int:
     return EXIT_OK
 
 
-def _write_sweep_plot(path, csv_name, surrogate=False):
+def _write_sweep_plot(path, csv_name, columns):
+    """gnuplot script: each of `columns` (CSV columns 2, 3, ...) against N."""
+    styles = {"E": "linespoints title 'E(N)'",
+              "gamma1": "lines title 'gamma1'",
+              "gamma2": "lines title 'gamma2'",
+              "E1_surrogate": "points title 'first-order surrogate'"}
+    curves = [f"'{csv_name}' every ::1 using 1:{i} with {styles[name]}"
+              for i, name in enumerate(columns, start=2)]
     lines = [
         "set datafile separator ','",
         "set logscale y",
         "set xlabel 'N'",
         "set ylabel 'error / envelope'",
         "set format y '10^{%T}'",
-        f"plot '{csv_name}' every ::1 using 1:2 with linespoints "
-        "title 'E(N)', \\",
-        f"     '{csv_name}' every ::1 using 1:3 with lines "
-        "title 'gamma1', \\",
-        f"     '{csv_name}' every ::1 using 1:4 with lines title 'gamma2'"
-        + (", \\" if surrogate else ""),
+        "plot " + ", \\\n     ".join(curves),
     ]
-    if surrogate:
-        lines.append(f"     '{csv_name}' every ::1 using 1:5 with points "
-                     "title 'first-order surrogate'")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -310,13 +308,15 @@ def _cmd_selftest(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, scene_arg=True):
-    if scene_arg:
-        p.add_argument("scene", help="scene YAML path or preset name "
-                       f"({', '.join(presets.PRESET_NAMES)})")
+def _add_common(p, wavenumber=True, outdir=True):
+    p.add_argument("scene", help="scene YAML path or preset name "
+                   f"({', '.join(presets.PRESET_NAMES)})")
+    if wavenumber:
         p.add_argument("--wavenumber", "-k", dest="wavenumber", type=float,
                        default=None, help="override the scene wavenumber")
-    p.add_argument("--outdir", "-o", default=".", help="artifact directory")
+    if outdir:
+        p.add_argument("--outdir", "-o", default=".",
+                       help="artifact directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a scene file")
-    _add_common(p)
+    _add_common(p, outdir=False)
     p.add_argument("--echo", action="store_true",
                    help="print the normalized scene YAML")
     p.set_defaults(fn=_cmd_validate)
@@ -341,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sweep", help="convergence sweep with envelopes")
-    _add_common(p)
+    _add_common(p, wavenumber=False)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=25,
                    help="at most 95: the reference solve takes n-max + "
                         f"{analysis.REFERENCE_MARGIN}, and N <= 100")
-    p.add_argument("--k", action="append", type=float, default=None,
+    p.add_argument("-k", "--k", action="append", type=float, default=None,
                    help="wavenumber list (repeatable); default: scene value")
     p.add_argument("--norm", choices=[NORM_L0, NORM_LHALF], default=NORM_L0)
     p.add_argument("--backend", choices=sorted(solver.BACKENDS),
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="envelope tables without solving")
-    _add_common(p)
+    _add_common(p, wavenumber=False)
     p.add_argument("--n-min", type=int, default=0)
     p.add_argument("--n-max", type=int, default=30)
     p.set_defaults(fn=_cmd_bounds)
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("selftest", help="run built-in oracle cross-checks")
-    _add_common(p, scene_arg=False)
     p.set_defaults(fn=_cmd_selftest)
     return ap
 

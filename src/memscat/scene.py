@@ -2,9 +2,11 @@
 
 A scene is a set of disjoint sound-soft (Dirichlet) circular cylinders hit by
 either a plane wave exp(i k beta.x) with propagation angle beta_hat or a point
-source (i/4) H_0^(1)(k |x - x0|).  Scenes are immutable; geometry derived from
-them (center distances, pair angles, source distances) is computed once and
-passed around.
+source (i/4) H_0^(1)(k |x - x0|).  Scenes are immutable.  Geometry derived
+from them (center distances, pair angles, source distances) is not stored:
+each consumer calls `pairwise_geometry` again, so a sweep computes it at least
+five times per wavenumber: in `validate_scene`, `assemble_system`, `gamma1`,
+`gamma2` and `breakdown_check`.
 
 Scene files are YAML:
 

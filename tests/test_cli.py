@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -69,8 +71,9 @@ class TestValidate:
                                         text):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
+        outdir = ["-o", str(tmp_path)] if command[0] == "solve" else []
         code, _, err = run(capsys, command[0], str(path), *command[1:],
-                           "-o", str(tmp_path))
+                           *outdir)
         assert code == EXIT_VALIDATION
         assert err.startswith(f"scene rejected: {path}: ")
         assert "Traceback" not in err
@@ -125,6 +128,22 @@ class TestSolve:
         assert code == EXIT_NUMERICAL
         assert "diverged" in err
         assert not (tmp_path / "touching_solution.csv").exists()
+
+    @pytest.mark.parametrize("command, written", [
+        (["solve"], ["far_solution.csv"]),
+        (["field", "--xlim", "-4", "4", "--ylim", "-4", "4", "--nx", "3",
+          "--ny", "3"], []),
+    ])
+    def test_non_converged_gmres_outcomes(self, capsys, tmp_path,
+                                          monkeypatch, command, written):
+        # solve writes what GMRES returned and exits 2; field writes nothing
+        gmres = memscat.solver.solve_gmres
+        monkeypatch.setitem(memscat.solver.BACKENDS, "gmres",
+                            lambda op, rhs: gmres(op, rhs, max_iterations=2))
+        code, _, _ = run(capsys, command[0], "far", "-N", "6", "--backend",
+                         "gmres", *command[1:], "-o", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
 
     def test_invalid_scene_exits_validation(self, capsys, overlap_file,
                                             tmp_path):
@@ -215,6 +234,97 @@ class TestSweep:
         assert data.shape == (12, 4)
         assert np.all(data[:, 1] > 0.0)
         assert (tmp_path / "far_sweep_k0.6.gp").exists()
+
+    @pytest.mark.parametrize("first_order", [False, True])
+    def test_plot_script_and_csv_text_are_pinned(self, capsys, tmp_path,
+                                                 first_order):
+        extra = ["--first-order"] if first_order else []
+        code, _, _ = run(capsys, "sweep", "far", "--n-max", "6", *extra,
+                         "-o", str(tmp_path))
+        assert code == EXIT_OK
+        csv = "far_sweep_k0.6.csv"
+        curves = [
+            f"'{csv}' every ::1 using 1:2 with linespoints title 'E(N)'",
+            f"'{csv}' every ::1 using 1:3 with lines title 'gamma1'",
+            f"'{csv}' every ::1 using 1:4 with lines title 'gamma2'",
+            f"'{csv}' every ::1 using 1:5 with points "
+            "title 'first-order surrogate'"][:4 if first_order else 3]
+        assert (tmp_path / "far_sweep_k0.6.gp").read_bytes() == (
+            "set datafile separator ','\n"
+            "set logscale y\n"
+            "set xlabel 'N'\n"
+            "set ylabel 'error / envelope'\n"
+            "set format y '10^{%T}'\n"
+            "plot " + ", \\\n     ".join(curves) + "\n").encode()
+        rows = (tmp_path / csv).read_bytes().decode().split("\n")
+        assert rows[0] == "N,E,gamma1,gamma2" + (",E1_surrogate"
+                                                 if first_order else "")
+        assert len(rows) == 8 and rows[-1] == ""
+        # N and the envelopes are pinned byte for byte; E and the surrogate
+        # come from LAPACK and BLAS, whose last bits may differ between
+        # builds, so they are pinned as '.16e' text of the expected value
+        expected = [
+            ("1", "7.2171378111997656e-02", "1.8181818181818182e-01",
+             "1.6700939446218016e-01", "9.1789932304736574e-02"),
+            ("2", "2.1547176165464425e-02", "3.3057851239669422e-02",
+             "2.7892137838624095e-02", "2.7160234100282482e-02"),
+            ("3", "4.3734202740053768e-03", "6.0105184072126224e-03",
+             "4.6582490506842725e-03", "5.0839190736565463e-03")]
+        for row, (n, e, g1, g2, s) in zip(rows[1:4], expected):
+            cells = row.split(",")
+            measured = [e, s] if first_order else [e]
+            assert len(cells) == 3 + len(measured)
+            assert [cells[0], *cells[2:4]] == [n, g1, g2]
+            for cell, value in zip(cells[1:2] + cells[4:], measured):
+                assert re.fullmatch(r"\d\.\d{16}e[+-]\d\d", cell)
+                assert float(cell) == pytest.approx(float(value), rel=1e-12)
+
+    def test_short_k_is_the_long_k(self, capsys, tmp_path):
+        for flag, name in (("-k", "short"), ("--k", "long")):
+            code, _, _ = run(capsys, "sweep", "far", flag, "3", "--n-max",
+                             "6", "-o", str(tmp_path / name))
+            assert code == EXIT_OK
+        for suffix in ("csv", "gp"):
+            f = f"far_sweep_k3.{suffix}"
+            assert (tmp_path / "short" / f).read_bytes() == \
+                (tmp_path / "long" / f).read_bytes()
+
+    def test_short_and_long_k_add_up(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "far", "-k", "3", "--k", "0.6",
+                           "--n-max", "6", "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "far_sweep_k0.6.csv", "far_sweep_k3.csv"]
+        assert out.index("far_sweep_k3.csv") < out.index("far_sweep_k0.6.csv")
+
+    @pytest.mark.parametrize("flag", ["-k", "--k"])
+    def test_file_wavenumber_does_not_block_other_values(self, capsys,
+                                                         tmp_path, flag):
+        sc = Scene((Cylinder((0.0, 0.0), 1.0), Cylinder((5.0, 0.0), 0.5)),
+                   0.0, PlaneWave(0.3))
+        path = tmp_path / "still.yaml"
+        path.write_text(dumps_scene(sc))
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "sweep", str(path), flag, "0.6",
+                         "--n-max", "6", "-o", str(out))
+        assert code == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "still_sweep_k0.6.csv", "still_sweep_k0.6.gp"]
+        # swept at its own wavenumber, the file is rejected up front
+        code, _, err = run(capsys, "sweep", str(path), "--n-max", "6",
+                           "-o", str(tmp_path / "own"))
+        assert code == EXIT_VALIDATION
+        assert "wavenumber must be > 0" in err
+        assert not (tmp_path / "own").exists()
+
+    def test_invalid_geometry_writes_nothing(self, capsys, overlap_file,
+                                             tmp_path):
+        code, _, err = run(capsys, "sweep", overlap_file, "--k", "0.6",
+                           "--k", "3", "--n-max", "6",
+                           "-o", str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        assert "overlap" in err
+        assert not (tmp_path / "out").exists()
 
     def test_multiple_wavenumbers(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "moderate", "--n-min", "1",
@@ -346,6 +456,17 @@ class TestBounds:
         n0 = lines[1].split(",")
         assert float(n0[1]) == 1.0 and float(n0[2]) == 1.0
 
+    def test_csv_text_is_pinned(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "bounds", "far", "--n-max", "3",
+                         "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert (tmp_path / "far_bounds.csv").read_bytes() == (
+            b"N,gamma1,gamma2\n"
+            b"0,1.0000000000000000e+00,1.0000000000000000e+00\n"
+            b"1,1.8181818181818182e-01,1.6700939446218016e-01\n"
+            b"2,3.3057851239669422e-02,2.7892137838624095e-02\n"
+            b"3,6.0105184072126224e-03,4.6582490506842725e-03\n")
+
     @pytest.mark.parametrize("command", ["sweep", "bounds"])
     @pytest.mark.parametrize("n_min, n_max, named", [
         ("9", "3", "--n-max must be >= --n-min"),
@@ -427,6 +548,43 @@ class TestSelftest:
         assert code == EXIT_OK
         assert "all selftest checks passed" in out
         assert "FAIL" not in out
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "far", "-o", "d"],
+        ["selftest", "-o", "d"],
+        ["bounds", "far", "-k", "3"],
+        ["sweep", "far", "--wavenumber", "3"],
+    ])
+    def test_removed_options_are_usage_errors(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: memscat")
+        assert "error: unrecognized arguments" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_readme_quick_start_runs(self, capsys, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = re.search(r"## Quick start\n\n```sh\n(.*?)```", text,
+                          re.S).group(1)
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in block.splitlines()
+                    if line.startswith("memscat ")]
+        assert commands
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if argv[0] == "selftest":      # TestSelftest runs it
+                continue
+            if "-o" in argv:
+                argv[argv.index("-o") + 1] = str(tmp_path / "out")
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_OK, (argv, err)
 
 
 class TestConsoleScript:
