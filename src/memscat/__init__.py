@@ -8,8 +8,7 @@ from .analysis import (BreakdownReport, ConvergenceReport, RateFit,
                        write_bounds_csv, write_report_csv)
 from .assembly import (NORM_L0, NORM_LHALF, BlockOperator, CoefficientVector,
                        assemble_raw, assemble_system, dump_system,
-                       load_system_dump, mode_range, mode_weights,
-                       pairing_block_quadrature)
+                       mode_range, mode_weights, pairing_block_quadrature)
 from .errors import (CapabilityError, InsufficientPointsError,
                      InteriorPointError, NonConvergenceError,
                      SceneValidationError, SingularSystemError)

@@ -488,18 +488,3 @@ def dump_system(op: BlockOperator, scene: Scene, path) -> None:
         fh.write(f"k {scene.wavenumber:.16e}\n")
         for v in op.matrix.reshape(-1):
             fh.write(f"{v.real:.16e} {v.imag:.16e}\n")
-
-
-def load_system_dump(path):
-    """Read a dump back; returns (matrix, n_cylinders, truncation, wavenumber)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != "memscat-system 1":
-            raise ValueError(f"not a memscat system dump: {magic!r}")
-        M = int(fh.readline().split()[1])
-        N = int(fh.readline().split()[1])
-        k = float(fh.readline().split()[1])
-        dim = M * (2 * N + 1)
-        entries = np.loadtxt(fh, dtype=np.float64).reshape(dim * dim, 2)
-    mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
-    return mat, M, N, k

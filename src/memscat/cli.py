@@ -148,8 +148,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # the file's own k is checked only when swept; the loop checks each k
-    sc, stem = _load_scene(args.scene, validate=not args.k)
+    # the geometry is checked once, here; the loop checks each k
+    sc, stem = _load_scene(args.scene, validate=False)
+    violations = scene_mod.geometry_violations(sc)
+    if violations:
+        raise SceneValidationError("; ".join(violations))
     truncations = _truncation_range(args)
     margin = analysis.REFERENCE_MARGIN
     if args.n_max + margin > TRUNCATION_CAP:
@@ -172,13 +175,13 @@ def _cmd_sweep(args) -> int:
     # a numerical failure (2) over a refused k (1)
     status = EXIT_OK
     for name, k in swept.items():
-        sck = dataclasses.replace(sc, wavenumber=float(k))
-        violations = scene_mod.validate_scene(sck)
+        violations = scene_mod.wavenumber_violations(k)
         for v in violations:
             print(f"error: k = {k:g}: {v}", file=sys.stderr)
         if violations or not _warn_high_k(args, k):
             status = max(status, EXIT_VALIDATION)
             continue
+        sck = dataclasses.replace(sc, wavenumber=float(k))
         try:
             rep = analysis.convergence_sweep(
                 sck, truncations, norm=args.norm, backend=args.backend,

@@ -18,8 +18,13 @@ range, even where H_m(k r_p) itself does.  P_0 and P_1 come from cephes
 j0/j1/y0/y1 at k r_p, and higher orders from the Hankel recurrence divided
 by H_{m+1}(k a_p).  specfun's scaled tables are used only at the radii, for
 c_m and the ratios s_m = H_m(k a_p) / H_{m+1}(k a_p), once per evaluation,
-so the cost is O(points x N) complex arithmetic.  Points with
-k r_p > ARG_CAP raise CapabilityError.
+so the cost is O(points x N) complex arithmetic: per point and cylinder,
+the four cephes anchors and about 11 array operations per mode.  Points
+with k r_p > ARG_CAP raise CapabilityError.  A point source's incident
+field (i/4) H_0(k |x - x0|) takes the same cephes j0 and y0, so it shares
+their accuracy at large arguments: within 1e-15 of AMOS's H_0 relative for
+k r <= 1, 4.2e-15 up to 200 and 3.2e-14 up to 1000, where cephes reduces
+the phase in double precision.
 
 Points are evaluated, and field CSVs written, in blocks of 4096
 (_BLOCK_POINTS).  4096 complex values are 64 KiB, under numpy's 256 KiB
@@ -83,8 +88,14 @@ def incident_field(scene: Scene, points) -> np.ndarray:
         return np.exp(1j * k * (pts[:, 0] * np.cos(angle)
                                 + pts[:, 1] * np.sin(angle)))
     x0 = np.asarray(scene.incident.location, dtype=np.float64)
-    r = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
-    return 0.25j * scipy.special.hankel1(0, k * r)
+    x = k * np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
+    # (i/4) H_0 = -Y_0 / 4 + i J_0 / 4 from the cephes anchors that the
+    # scattered field takes, part by part: the bits of the complex product
+    # for finite Y_0, and +inf + i/4 at the source itself
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.multiply(scipy.special.y0(x), -0.25, out=out.real)
+    np.multiply(scipy.special.j0(x), 0.25, out=out.imag)
+    return out
 
 
 def scattered_field(scene: Scene, phi: CoefficientVector, points) -> np.ndarray:
@@ -131,14 +142,21 @@ def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
         dx = pts[:, 0] - cyl.center[0]
         dy = pts[:, 1] - cyl.center[1]
         r = np.hypot(dx, dy)
-        z = (dx + 1j * dy) / r                      # e^{i theta_p}
-        del dx, dy
+        # e^{i theta_p}: the bits of (dx + i dy) / r, whose complex division
+        # by a real r computes dx (1/r) and dy (1/r)
+        inv_r = 1.0 / r
+        z = np.empty(r.shape, dtype=np.complex128)
+        np.multiply(dx, inv_r, out=z.real)
+        np.multiply(dy, inv_r, out=z.imag)
+        del dx, dy, inv_r
         x = k * r
         del r
         # the anchors take any argument, so the envelope is checked here
         specfun._check_arg(x)
-        p_prev = _hankel_ratio(scipy.special.j0, scipy.special.y0, x, h01[0, p])
-        p_cur = _hankel_ratio(scipy.special.j1, scipy.special.y1, x, h01[1, p])
+        p_prev = _hankel(scipy.special.j0, scipy.special.y0, x)
+        p_prev /= h01[0, p]
+        p_cur = _hankel(scipy.special.j1, scipy.special.y1, x)
+        p_cur /= h01[1, p]
         inv_x = 1.0 / x
         del x
         pref = 0.25j * np.sqrt(2.0 * np.pi * cyl.radius)
@@ -157,12 +175,11 @@ def _scattered_block(scene: Scene, phi: CoefficientVector, tables,
     return out
 
 
-def _hankel_ratio(j, y, x: np.ndarray, h) -> np.ndarray:
-    """(j(x) + i y(x)) / h, with j and y written straight into the result."""
+def _hankel(j, y, x: np.ndarray) -> np.ndarray:
+    """j(x) + i y(x), with j and y written straight into the result."""
     out = np.empty(x.shape, dtype=np.complex128)
     j(x, out=out.real)
     y(x, out=out.imag)
-    out /= h
     return out
 
 
@@ -388,17 +405,27 @@ def _format_column(values) -> np.ndarray:
 
     # rows: sign, d0, '.', d1..d16, 'e', exponent sign, 2 or 3 digits
     planes[0] = np.where(np.signbit(x), ord("-"), 0)
-    for row in (*range(18, 2, -1), 1):
-        quotient = d // 10
-        planes[row] = d - quotient * 10
-        d = quotient
+    # d is at most about 10^17, so its last 9 digits and the rest each fit
+    # an int32, whose divisions by 10 are cheaper than int64's
+    high, low_digits = np.divmod(d, 10 ** 9)
+    del d
+    for part, rows in ((low_digits, range(18, 9, -1)),
+                       (high, (*range(9, 2, -1), 1))):
+        part = part.astype(np.int32)
+        for row in rows:
+            quotient = part // 10
+            planes[row] = part - quotient * 10
+            part = quotient
     planes[1:19] += ord("0")
     planes[2] = ord(".")
     planes[19] = ord("e")
     e0 = int(E.min())
     exponents = b"".join(f"{e:+03d}".encode().ljust(4, b"\0")
                          for e in range(e0, int(E.max()) + 1))
-    planes[20:] = np.frombuffer(exponents, np.uint8).reshape(-1, 4)[E - e0].T
+    # one row of exponent text per plane: gathering along the rows writes
+    # each plane contiguously
+    np.take(np.frombuffer(exponents, np.uint8).reshape(-1, 4).T, E - e0,
+            axis=1, out=planes[20:])
 
     if slow.any():
         index = np.flatnonzero(slow)
@@ -434,7 +461,10 @@ def write_field_csv(path, xs, ys, U, inside) -> None:
         raise ValueError("U and inside must have shape (len(ys), len(xs)) "
                          f"= {shape}, not {np.shape(U)} and "
                          f"{np.shape(inside)}")
-    x_text, y_text = _format_column(xs), _format_column(ys)
+    # every block gathers rows of the axis text, which is faster from
+    # contiguous copies than from _format_column's transposed tables
+    x_text, y_text = (np.ascontiguousarray(_format_column(v))
+                      for v in (xs, ys))
     u, flags = np.ravel(U), np.ravel(inside)
     with open(path, "wb") as fh:
         fh.write(b"x,y,re_total,im_total,abs_total,inside\n")
@@ -444,7 +474,7 @@ def write_field_csv(path, xs, ys, U, inside) -> None:
 
 
 def _csv_rows(x_text, y_text, rows, u, flag):
-    """The CSV text of one block of grid rows, as uint8 arrays of at most
+    """The CSV text of one block of grid rows, as bytes of at most
     _TABLE_ROWS rows each; x_text and y_text are the formatted axes."""
     re = np.where(flag, np.nan, u.real)
     im = np.where(flag, np.nan, u.imag)
@@ -464,7 +494,7 @@ def _csv_rows(x_text, y_text, rows, u, flag):
         table[:, cell - 1::cell] = ord(",")
         table[:, -2] = flag[s] + ord("0")
         table[:, -1] = ord("\n")
-        yield table[table != 0]
+        yield table.tobytes().replace(b"\0", b"")
 
 
 def write_plot_script(path, csv_name: str, title: str = "total field") -> None:

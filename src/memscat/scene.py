@@ -4,9 +4,9 @@ A scene is a set of disjoint sound-soft (Dirichlet) circular cylinders hit by
 either a plane wave exp(i k beta.x) with propagation angle beta_hat or a point
 source (i/4) H_0^(1)(k |x - x0|).  Scenes are immutable.  Geometry derived
 from them (center distances, pair angles, source distances) is not stored:
-each consumer calls `pairwise_geometry` again, so a sweep computes it at least
-five times per wavenumber: in `validate_scene`, `assemble_system`, `gamma1`,
-`gamma2` and `breakdown_check`.
+each consumer calls `pairwise_geometry` again, so a sweep computes it once for
+its geometry check and then four times per wavenumber: in `assemble_system`,
+`gamma1`, `gamma2` and `breakdown_check`.
 
 Scene files are YAML:
 
@@ -90,12 +90,25 @@ def validate_scene(scene: Scene) -> list[str]:
     inside an obstacle, empty scene) make the scene unusable.  Interior
     Dirichlet eigenvalues (J_m(k a_p) = 0) are not a concern: the
     preconditioned system divides only by H_m(k a_p), which has no real zeros.
+    The wavenumber violation comes first, then those of geometry_violations.
     """
+    return wavenumber_violations(scene.wavenumber) + geometry_violations(scene)
+
+
+def wavenumber_violations(wavenumber: float) -> list[str]:
+    """The wavenumber's violation, if it is not finite and > 0."""
+    if not np.isfinite(wavenumber) or wavenumber <= 0.0:
+        return [f"wavenumber must be > 0, got {wavenumber}"]
+    return []
+
+
+def geometry_violations(scene: Scene) -> list[str]:
+    """The violations of everything validate_scene checks but the
+    wavenumber: cylinders, their overlaps and the incident field.  A sweep
+    checks these once, and each of its wavenumbers apart."""
     if scene.n_cylinders == 0:
         return ["scene has no cylinders"]
     violations = []
-    if not np.isfinite(scene.wavenumber) or scene.wavenumber <= 0.0:
-        violations.append(f"wavenumber must be > 0, got {scene.wavenumber}")
     for p, c in enumerate(scene.cylinders):
         if not np.isfinite(c.radius) or c.radius <= 0.0:
             violations.append(f"cylinder {p + 1}: radius must be > 0, got {c.radius}")

@@ -25,8 +25,9 @@ Method notes
 
 Supported envelope: 0 <= order <= 200, 0 < x <= 1000 for every table.
 Orders or arguments above it raise CapabilityError; negative orders, and
-arguments that are not finite or not positive, raise ValueError.  Plain-float accessors raise
-OverflowError when a value exceeds the double range; underflow returns 0.0.
+arguments that are not finite or not positive, raise ValueError.  The
+plain-float accessors bessel_j, bessel_y and hankel1, which only the tests
+call, live in tests/instruments.py.
 """
 
 from __future__ import annotations
@@ -199,31 +200,3 @@ def _hankel_from(jm, je, ym, ye):
     mant = np.ldexp(jm, np.clip(je - e, -1500, 0).astype(np.int32)) \
         + 1j * np.ldexp(ym, np.clip(ye - e, -1500, 0).astype(np.int32))
     return _renormalize(mant, e)
-
-
-# ---------------------------------------------------------------------------
-# single values (the reference checks call these)
-# ---------------------------------------------------------------------------
-
-def _single(grid, m: int, x: float) -> float:
-    """C_m(x) from one grid call; negative orders by C_{-m} = (-1)^m C_m."""
-    am = abs(int(m))
-    mant, exp2 = grid(am, float(x))
-    v = scaled_to_float(mant[am, 0], exp2[am, 0])
-    return -v if m < 0 and am % 2 else v
-
-
-def bessel_j(m: int, x: float) -> float:
-    """J_m(x) as a plain float; negative orders via J_{-m} = (-1)^m J_m."""
-    return float(_single(bessel_j_grid_scaled, m, x))
-
-
-def bessel_y(m: int, x: float) -> float:
-    """Y_m(x) as a plain float; raises OverflowError out of double range."""
-    return float(_single(bessel_y_grid_scaled, m, x))
-
-
-def hankel1(m: int, x: float) -> complex:
-    """H_m^(1)(x) = complex(J_m(x), Y_m(x)); parity rule for negative orders."""
-    return complex(bessel_j(m, x), bessel_y(m, x))
-

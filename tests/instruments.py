@@ -1,5 +1,6 @@
-"""Instruments that only the tests use: bound-side series, the far-field
-limit, the incident-trace quadrature and the pointwise total field.
+"""Instruments that only the tests use: bound-side series, single Bessel
+values, the far-field limit, the incident-trace quadrature, the pointwise
+total field and the reader of system dumps.
 
 No production path (the CLI, `memscat selftest`, the benchmark) calls
 these; the acceptance criteria and unit tests measure the package against
@@ -9,12 +10,15 @@ them.  They are built on the package's public layers:
   criterion 7 checks against the envelope bases;
 * theorem_slack (criterion 3) and onset_truncation (criterion 10): readings
   of a ConvergenceReport;
+* bessel_j, bessel_y and hankel1: plain-float values of specfun's scaled
+  tables at one order and argument;
 * far_field_amplitude: the large-r limit of the radiation sum that
   criterion 9 compares scattered_field with;
 * total_field: incident plus scattered field at arbitrary points, the
   reference for total_field_grid;
 * incident_trace_quadrature: the trapezoid reference for the rhs f of
-  assemble_raw.
+  assemble_raw;
+* load_system_dump: reads back the file `solve --dump-matrix` writes.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from memscat.assembly import CoefficientVector
 from memscat.errors import InsufficientPointsError, NonConvergenceError
 from memscat.field import incident_field, scattered_field
 from memscat.scene import PlaneWave, Scene
+from memscat.specfun import (bessel_j_grid_scaled, bessel_y_grid_scaled,
+                             scaled_to_float)
 
 # sigma_series_raw stops once a term falls below this fraction of the sum
 _SIGMA_RTOL = 1e-18
@@ -154,6 +160,33 @@ def onset_truncation(report: ConvergenceReport, factor: float = 10.0):
 
 
 # ---------------------------------------------------------------------------
+# special functions: single values
+# ---------------------------------------------------------------------------
+
+def _single(grid, m: int, x: float) -> float:
+    """C_m(x) from one grid call; negative orders by C_{-m} = (-1)^m C_m."""
+    am = abs(int(m))
+    mant, exp2 = grid(am, float(x))
+    v = scaled_to_float(mant[am, 0], exp2[am, 0])
+    return -v if m < 0 and am % 2 else v
+
+
+def bessel_j(m: int, x: float) -> float:
+    """J_m(x) as a plain float; negative orders via J_{-m} = (-1)^m J_m."""
+    return float(_single(bessel_j_grid_scaled, m, x))
+
+
+def bessel_y(m: int, x: float) -> float:
+    """Y_m(x) as a plain float; raises OverflowError out of double range."""
+    return float(_single(bessel_y_grid_scaled, m, x))
+
+
+def hankel1(m: int, x: float) -> complex:
+    """H_m^(1)(x) = complex(J_m(x), Y_m(x)); parity rule for negative orders."""
+    return complex(bessel_j(m, x), bessel_y(m, x))
+
+
+# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
@@ -209,3 +242,22 @@ def incident_trace_quadrature(scene: Scene, p: int, m: int,
         u = 0.25j * scipy.special.hankel1(0, k * r)
     w = a_p * (2.0 * np.pi / n_quad) / np.sqrt(2.0 * np.pi * a_p)
     return complex(-w * np.sum(u * np.exp(-1j * m * s)))
+
+
+# ---------------------------------------------------------------------------
+# system dumps
+# ---------------------------------------------------------------------------
+
+def load_system_dump(path):
+    """Read a dump back; returns (matrix, n_cylinders, truncation, wavenumber)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        magic = fh.readline().strip()
+        if magic != "memscat-system 1":
+            raise ValueError(f"not a memscat system dump: {magic!r}")
+        M = int(fh.readline().split()[1])
+        N = int(fh.readline().split()[1])
+        k = float(fh.readline().split()[1])
+        dim = M * (2 * N + 1)
+        entries = np.loadtxt(fh, dtype=np.float64).reshape(dim * dim, 2)
+    mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
+    return mat, M, N, k

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from instruments import (hyp2f1_peaked, onset_truncation, sigma_series_raw,
                          theorem_slack)
 from memscat import (
+    NORM_L0,
+    BlockOperator,
     Cylinder,
     InsufficientPointsError,
     NonConvergenceError,
@@ -32,7 +34,7 @@ from memscat.analysis import (
     write_bounds_csv,
     write_report_csv,
 )
-from memscat.assembly import CoefficientVector
+from memscat.assembly import CoefficientVector, mode_range
 from memscat.scene import pairwise_geometry
 
 
@@ -269,6 +271,31 @@ class TestFirstOrderSurrogate:
         report = convergence_sweep(sc, range(0, 9), include_surrogate=True)
         assert report.e1_surrogate is not None
         assert np.max(np.abs(report.e1_surrogate - report.errors)) < 1e-14
+
+    def test_one_reference_product_per_sweep(self, far_scene, monkeypatch):
+        # the surrogate at each N takes one product of its own and shares
+        # (I + A) G; its values are those of the formula taken per N
+        calls = []
+        matvec = BlockOperator.matvec
+        monkeypatch.setattr(BlockOperator, "matvec",
+                            lambda op, x: calls.append(op) or matvec(op, x))
+        ladder = range(2, 9)
+        without = convergence_sweep(far_scene, ladder)
+        n_plain = len(calls)
+        report = convergence_sweep(far_scene, ladder, include_surrogate=True)
+        assert len(calls) - 2 * n_plain == len(ladder) + 1
+        assert np.array_equal(report.errors, without.errors)
+        op_ref, rhs_ref = assemble_system(far_scene, report.n_ref)
+        g = rhs_ref.data
+        per_n = []
+        for n in ladder:
+            outer = np.abs(mode_range(rhs_ref.truncation)) > n
+            tail = CoefficientVector(np.where(outer, g, 0.0))
+            out = matvec(op_ref, tail)
+            out.data[:, outer] = (matvec(op_ref, rhs_ref).data[:, outer]
+                                  - g[:, outer])
+            per_n.append(tail.norm(NORM_L0) + out.norm(NORM_L0))
+        assert np.array_equal(report.e1_surrogate, per_n)
 
     def test_surrogate_tracks_the_refined_envelope(self, far_scene):
         report = convergence_sweep(far_scene, range(1, 26),

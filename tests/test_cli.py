@@ -117,7 +117,7 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "far", "-N", "4",
                          "--dump-matrix", str(dump), "-o", str(tmp_path))
         assert code == EXIT_OK
-        from memscat.assembly import load_system_dump
+        from instruments import load_system_dump
         mat, M, N, k = load_system_dump(dump)
         assert (M, N, k) == (3, 4, 0.6)
         assert mat.shape == (27, 27)
@@ -319,12 +319,28 @@ class TestSweep:
 
     def test_invalid_geometry_writes_nothing(self, capsys, overlap_file,
                                              tmp_path):
-        code, _, err = run(capsys, "sweep", overlap_file, "--k", "0.6",
-                           "--k", "3", "--n-max", "6",
-                           "-o", str(tmp_path / "out"))
+        code, out, err = run(capsys, "sweep", overlap_file, "--k", "0.6",
+                             "--k", "3", "--k", "5", "--n-max", "6",
+                             "-o", str(tmp_path / "out"))
         assert code == EXIT_VALIDATION
-        assert "overlap" in err
+        assert out == ""
+        # reported once, not once per wavenumber
+        assert err.count("cylinders 1 and 2 overlap or touch") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ks", [[], ["--k", "0.6", "--k", "3"]])
+    def test_geometry_is_checked_once_per_sweep(self, capsys, monkeypatch,
+                                                tmp_path, ks):
+        # the scene module's own calls are those of the geometry check
+        from memscat import scene as scene_mod
+        calls = []
+        geometry = scene_mod.pairwise_geometry
+        monkeypatch.setattr(scene_mod, "pairwise_geometry",
+                            lambda sc: calls.append(sc) or geometry(sc))
+        code, _, _ = run(capsys, "sweep", "far", *ks, "--n-max", "4",
+                         "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_multiple_wavenumbers(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "moderate", "--n-min", "1",

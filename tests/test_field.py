@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +73,34 @@ class TestIncidentField:
         a = incident_field(sc, np.array([[4.0, 6.0]]))[0]
         b = incident_field(sc, np.array([[-2.0, -2.0]]))[0]
         assert a == pytest.approx(b, rel=1e-13)
+
+    # largest |H_0 - AMOS| / |AMOS| at k r in each range, about twice the
+    # maximum over 8e5 arguments per range (9.9e-16, 4.2e-15, 3.2e-15 and
+    # 3.2e-14): cephes reduces the phase in double, so its error grows
+    # with the argument
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (1e-3, 1.0, 2e-15),
+        (1.0, 50.0, 8e-15),
+        (50.0, 200.0, 8e-15),
+        (200.0, specfun.ARG_CAP, 6e-14),
+    ])
+    def test_point_source_matches_amos(self, lo, hi, bound):
+        k = 1.7
+        sc = Scene((Cylinder((-40.0, 0.0), 1.0),), k, PointSource((0.5, -2.0)))
+        kr = np.geomspace(lo, hi, 20001)
+        t = np.linspace(0.0, 2.0 * np.pi, kr.size)
+        pts = np.stack([0.5 + kr / k * np.cos(t), -2.0 + kr / k * np.sin(t)],
+                       axis=1)
+        want = 0.25j * scipy.special.hankel1(
+            0, k * np.hypot(pts[:, 0] - 0.5, pts[:, 1] + 2.0))
+        rel = np.abs(incident_field(sc, pts) - want) / np.abs(want)
+        assert np.max(rel) <= bound
+
+    def test_point_source_at_the_source(self):
+        # the limit of (i/4) H_0(k r) as r -> 0: Y_0 -> -inf, J_0 -> 1
+        sc = Scene((Cylinder((40.0, 0.0), 1.0),), 0.9, PointSource((1.0, 2.0)))
+        u = incident_field(sc, np.array([[1.0, 2.0]]))[0]
+        assert (u.real, u.imag) == (np.inf, 0.25)
 
     def test_total_is_incident_plus_scattered(self, far_scene, far_phi):
         pts = exterior_cloud(far_scene, 10)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from instruments import hyp2f1_peaked
+from instruments import bessel_j, bessel_y, hankel1, hyp2f1_peaked
 from memscat import specfun
 from memscat.errors import CapabilityError
 
@@ -131,8 +131,8 @@ def hankel_grid(m_max: int, x):
 
 def check_point_oracles(tol: float = 1e-10) -> float:
     """Max relative deviation of J_0(1), Y_0(1) from in-test series oracles."""
-    dev_j = abs(specfun.bessel_j(0, 1.0) - j0_series(1.0)) / abs(j0_series(1.0))
-    dev_y = abs(specfun.bessel_y(0, 1.0) - y0_series(1.0)) / abs(y0_series(1.0))
+    dev_j = abs(bessel_j(0, 1.0) - j0_series(1.0)) / abs(j0_series(1.0))
+    dev_y = abs(bessel_y(0, 1.0) - y0_series(1.0)) / abs(y0_series(1.0))
     worst = max(dev_j, dev_y)
     assert worst < tol
     return worst
@@ -179,9 +179,9 @@ def check_negative_order() -> None:
     for m in range(1, 12):
         for x in (0.4, 2.0, 19.5):
             sign = -1.0 if m % 2 else 1.0
-            assert specfun.bessel_j(-m, x) == sign * specfun.bessel_j(m, x)
-            assert specfun.bessel_y(-m, x) == sign * specfun.bessel_y(m, x)
-            assert specfun.hankel1(-m, x) == sign * specfun.hankel1(m, x)
+            assert bessel_j(-m, x) == sign * bessel_j(m, x)
+            assert bessel_y(-m, x) == sign * bessel_y(m, x)
+            assert hankel1(-m, x) == sign * hankel1(m, x)
 
 
 def check_envelope(args=(1.0, 5.0, 20.0), band: float = 100.0) -> float:
@@ -223,24 +223,24 @@ def check_hankel_monotonicity(order_max: int = 30,
 class TestReferenceGrid:
     @pytest.mark.parametrize("m,x,j_ref,y_ref", JY_REFERENCE)
     def test_j_matches_reference(self, m, x, j_ref, y_ref):
-        assert specfun.bessel_j(m, x) == pytest.approx(j_ref, rel=1e-12)
+        assert bessel_j(m, x) == pytest.approx(j_ref, rel=1e-12)
 
     @pytest.mark.parametrize("m,x,j_ref,y_ref", JY_REFERENCE)
     def test_y_matches_reference(self, m, x, j_ref, y_ref):
-        assert specfun.bessel_y(m, x) == pytest.approx(y_ref, rel=1e-12)
+        assert bessel_y(m, x) == pytest.approx(y_ref, rel=1e-12)
 
     @pytest.mark.parametrize("m,x,j_ref,y_ref", JY_REFERENCE)
     def test_hankel_combines_j_and_y(self, m, x, j_ref, y_ref):
-        h = specfun.hankel1(m, x)
-        assert h.real == specfun.bessel_j(m, x)
-        assert h.imag == specfun.bessel_y(m, x)
+        h = hankel1(m, x)
+        assert h.real == bessel_j(m, x)
+        assert h.imag == bessel_y(m, x)
 
     @pytest.mark.parametrize("m,x,y_ref", Y_ANCHOR_REFERENCE)
     def test_y_anchors_match_reference(self, m, x, y_ref):
         # Y oscillates through zeros, so the error is measured against the
         # larger of |Y| and the oscillation envelope sqrt(2 / (pi x)).
         scale = max(abs(y_ref), math.sqrt(2.0 / (math.pi * x)))
-        assert abs(specfun.bessel_y(m, x) - y_ref) <= 1e-13 * scale
+        assert abs(bessel_y(m, x) - y_ref) <= 1e-13 * scale
 
     def test_series_point_oracles(self):
         worst = check_point_oracles()
@@ -248,7 +248,7 @@ class TestReferenceGrid:
 
     def test_small_argument_magnitude(self):
         # Y_0 blows up only logarithmically; at 1e-3 it is about -4.47.
-        assert specfun.bessel_y(0, 1e-3) == pytest.approx(-4.4714166113759233,
+        assert bessel_y(0, 1e-3) == pytest.approx(-4.4714166113759233,
                                                           rel=1e-12)
 
 
@@ -258,8 +258,8 @@ class TestIdentities:
 
     def test_wronskian_example(self):
         # J_3(2) Y_4(2) - J_4(2) Y_3(2) = -2/(pi*2) = -1/pi.
-        w = (specfun.bessel_j(3, 2.0) * specfun.bessel_y(4, 2.0)
-             - specfun.bessel_j(4, 2.0) * specfun.bessel_y(3, 2.0))
+        w = (bessel_j(3, 2.0) * bessel_y(4, 2.0)
+             - bessel_j(4, 2.0) * bessel_y(3, 2.0))
         assert w == pytest.approx(-1.0 / math.pi, rel=1e-12)
 
     def test_three_term_recurrence(self):
@@ -269,7 +269,7 @@ class TestIdentities:
         check_negative_order()
 
     def test_hankel_parity_example(self):
-        assert specfun.hankel1(-1, 2.0) == -specfun.hankel1(1, 2.0)
+        assert hankel1(-1, 2.0) == -hankel1(1, 2.0)
 
     def test_growth_envelope(self):
         assert check_envelope() < 100.0
@@ -284,7 +284,7 @@ class TestScaledSequences:
         h = specfun.scaled_to_float(*hankel_grid(40, xs))
         for i, x in enumerate(xs):
             for m in (0, 7, 25, 40):
-                assert h[m, i] == pytest.approx(specfun.hankel1(m, x),
+                assert h[m, i] == pytest.approx(hankel1(m, x),
                                                 rel=1e-12)
 
     @pytest.mark.parametrize("order", [0, 5, 26, 100, 200])
@@ -330,29 +330,29 @@ class TestDomainAndCaps:
     def test_j_at_zero(self):
         # every table takes 0 < x <= ARG_CAP, J included
         with pytest.raises(ValueError, match="> 0"):
-            specfun.bessel_j(0, 0.0)
+            bessel_j(0, 0.0)
         with pytest.raises(ValueError, match="> 0"):
             specfun.bessel_j_grid_scaled(3, [0.0, 1.0])
 
     def test_y_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            specfun.bessel_y(0, 0.0)
+            bessel_y(0, 0.0)
         with pytest.raises(ValueError):
-            specfun.hankel1(2, -1.0)
+            hankel1(2, -1.0)
 
     def test_j_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            specfun.bessel_j(0, -0.5)
+            bessel_j(0, -0.5)
 
     def test_order_cap(self):
         with pytest.raises(CapabilityError):
-            specfun.bessel_j(201, 1.0)
+            bessel_j(201, 1.0)
         with pytest.raises(CapabilityError):
             specfun.bessel_y_grid_scaled(201, 1.0)
 
     def test_argument_cap(self):
         with pytest.raises(CapabilityError):
-            specfun.bessel_j(0, 1000.5)
+            bessel_j(0, 1000.5)
 
 
 class TestHyp2F1Peaked:

@@ -17,8 +17,8 @@ PUBLIC_NAMES = [
     "assemble_raw", "assemble_system", "assembly", "boundary_residual",
     "breakdown_check", "convergence_sweep", "dump_system", "dumps_scene",
     "errors", "field", "fit_rate", "gamma1", "gamma2", "incident_field",
-    "load_scene", "load_system_dump", "loads_scene", "mode_range",
-    "mode_weights", "pairing_block_quadrature", "pairwise_geometry",
+    "load_scene", "loads_scene", "mode_range", "mode_weights",
+    "pairing_block_quadrature", "pairwise_geometry",
     "preset_scene", "presets", "require_valid", "scattered_field", "scene",
     "single_layer_field_quadrature", "solve", "solver", "specfun",
     "total_field_grid", "validate_scene", "write_bounds_csv",
@@ -34,6 +34,11 @@ TEST_INSTRUMENTS = [
     ("field", "far_field_amplitude"),
     ("field", "total_field"),
     ("assembly", "incident_trace_quadrature"),
+    ("specfun", "bessel_j"),
+    ("specfun", "bessel_y"),
+    ("specfun", "hankel1"),
+    ("specfun", "_single"),
+    ("assembly", "load_system_dump"),
 ]
 
 
