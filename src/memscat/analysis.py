@@ -30,7 +30,7 @@ from .assembly import (NORM_L0, BlockOperator, CoefficientVector,
                        assemble_system, mode_range)
 from .errors import InsufficientPointsError, NonConvergenceError
 from .scene import PointSource, Scene, pairwise_geometry
-from .solver import solve
+from .solver import solve_dense
 
 REFERENCE_MARGIN = 5
 FIT_FLOOR = 1e-13
@@ -156,14 +156,16 @@ def _first_order_surrogate(op_ref: BlockOperator, rhs_ref: CoefficientVector,
 
 
 def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
-                      backend: str = "dense", include_surrogate: bool = False,
+                      include_surrogate: bool = False,
                       n_ref: int | None = None) -> ConvergenceReport:
     """Measure E(N) over a truncation ladder against a reference solve.
 
     The system is assembled once, at n_ref; the system at each N is its
     central |m|, |n| <= N slice, since the entries do not depend on the
-    truncation.  Raises NonConvergenceError when any solve, the reference
-    or one at some N, reports that it did not converge.
+    truncation.  Every solve is dense, so E(N) is the truncation error of
+    the exact solutions and carries no iteration error.  Raises
+    NonConvergenceError when any solve, the reference or one at some N,
+    reports that it did not converge.
     """
     truncations = np.asarray(sorted(int(n) for n in truncations), dtype=np.int64)
     if truncations.size == 0:
@@ -173,12 +175,12 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
     if n_ref is None:
         n_ref = int(truncations[-1]) + REFERENCE_MARGIN
     op_ref, rhs_ref = assemble_system(scene, n_ref)
-    ref = _converged_solution(op_ref, rhs_ref, backend)
+    ref = _converged_solution(op_ref, rhs_ref)
     errors = np.array([
         approximation_error(
             ref,
             _converged_solution(op_ref.restrict(int(n)),
-                                rhs_ref.restrict(int(n)), backend), norm)
+                                rhs_ref.restrict(int(n))), norm)
         for n in truncations])
     surrogate = None
     if include_surrogate:
@@ -199,12 +201,13 @@ def convergence_sweep(scene: Scene, truncations, norm: str = NORM_L0,
     return report
 
 
-def _converged_solution(op: BlockOperator, rhs: CoefficientVector,
-                        backend: str) -> CoefficientVector:
-    res = solve(op, rhs, backend=backend)
+def _converged_solution(op: BlockOperator,
+                        rhs: CoefficientVector) -> CoefficientVector:
+    """The dense solution; a non-finite residual raises."""
+    res = solve_dense(op, rhs)
     if not res.converged:
         raise NonConvergenceError(
-            f"{backend} solve at N = {op.truncation} did not converge "
+            f"dense solve at N = {op.truncation} did not converge "
             f"(residual {res.residual:.3e})")
     return res.solution
 

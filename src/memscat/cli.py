@@ -1,11 +1,14 @@
 """Command-line front end.
 
     memscat validate SCENE [--echo]
-    memscat solve    SCENE -N 12 [--backend dense] [--dump-matrix FILE]
+    memscat solve    SCENE -N 12 [--backend dense|gmres|reflections]
+                     [--dump-matrix FILE]
     memscat sweep    SCENE --n-min 1 --n-max 25 [--k 0.6 --k 3] [--first-order]
     memscat bounds   SCENE --n-min 0 --n-max 30
     memscat field    SCENE -N 12 --xlim -10 20 --ylim -15 20 --nx 200 --ny 200
     memscat selftest
+
+Only `solve` chooses a backend; `sweep` and `field` solve densely.
 
 SCENE is either a YAML scene file or a preset name (far, moderate, close,
 touching).  Artifacts land in --outdir as CSV files plus gnuplot scripts.
@@ -82,15 +85,16 @@ def _load_scene(token: str, wavenumber: float | None = None, validate=True):
     return sc, os.path.splitext(os.path.basename(token))[0]
 
 
-def _solve_scene(args, dump_path=None):
-    """The checked scene, the stem of its artifacts and its solve at -N.  The
-    system is dropped on return, so `field` does not hold it through field
-    evaluation and output, which set that command's memory peak."""
+def _solve_scene(args, backend: str, dump_path=None):
+    """The checked scene, the stem of its artifacts and its solve at -N by
+    `backend`.  The system is dropped on return, so `field` does not hold it
+    through field evaluation and output, which set that command's memory
+    peak."""
     sc, stem = _load_scene(args.scene, args.wavenumber)
     op, rhs = assemble_system(sc, args.truncation)
     if dump_path:
         dump_system(op, sc, dump_path)
-    return sc, stem, solver.solve(op, rhs, backend=args.backend)
+    return sc, stem, solver.solve(op, rhs, backend=backend)
 
 
 def _outpath(args, name: str) -> str:
@@ -128,7 +132,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    sc, stem, res = _solve_scene(args, args.dump_matrix)
+    sc, stem, res = _solve_scene(args, args.backend, args.dump_matrix)
     if res.diverged:
         print("reflections iteration diverged (update norm grew for 3 "
               "consecutive steps); no solution written", file=sys.stderr)
@@ -184,7 +188,7 @@ def _cmd_sweep(args) -> int:
         sck = dataclasses.replace(sc, wavenumber=float(k))
         try:
             rep = analysis.convergence_sweep(
-                sck, truncations, norm=args.norm, backend=args.backend,
+                sck, truncations, norm=args.norm,
                 include_surrogate=args.first_order)
         except _NUMERICAL_ERRORS as exc:
             print(f"numerical failure at k = {k:g}: {exc}", file=sys.stderr)
@@ -216,7 +220,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    sc, stem, res = _solve_scene(args)
+    sc, stem, res = _solve_scene(args, "dense")
     if not res.converged:
         print("solver did not converge; no field written", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -352,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--k", action="append", type=float, default=None,
                    help="wavenumber list (repeatable); default: scene value")
     p.add_argument("--norm", choices=[NORM_L0, NORM_LHALF], default=NORM_L0)
-    p.add_argument("--backend", choices=sorted(solver.BACKENDS),
-                   default="dense")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored: a sweep "
                         "assembles once and slices, in one thread")
@@ -372,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="total-field grid CSV + plot script")
     _add_common(p)
     p.add_argument("-N", "--truncation", type=int, required=True)
-    p.add_argument("--backend", choices=sorted(solver.BACKENDS),
-                   default="dense")
     p.add_argument("--xlim", type=float, nargs=2, required=True)
     p.add_argument("--ylim", type=float, nargs=2, required=True)
     p.add_argument("--nx", type=_positive_int, default=100)

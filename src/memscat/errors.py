@@ -19,7 +19,8 @@ class SingularSystemError(ArithmeticError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """An iterative process (series summation) failed to converge."""
+    """A solve reported no convergence: a sweep's dense solve with a
+    non-finite residual."""
 
 
 class InsufficientPointsError(ValueError):

@@ -1,6 +1,6 @@
 """Backends for the truncated system (I + A) phi = g.
 
-Four routes with one result type:
+Three routes with one result type:
 
 * dense      LAPACK factorization of the assembled matrix;
 * gmres      restarted GMRES (modified Gram-Schmidt Arnoldi + Givens
@@ -11,10 +11,7 @@ Four routes with one result type:
 * reflections  parallel method of reflections phi <- g - A phi, i.e.
              Richardson iteration on (I + A) phi = g; three consecutive
              growths of the residual count as divergence (almost-touching
-             obstacles), which is reported instead of raised;
-* first_order  the zeroth iterate phi = g with its defect ||A g|| reported,
-             the cheap approximation whose validity the breakdown heuristic
-             in `analysis` predicts.
+             obstacles), which is reported instead of raised.
 
 Residuals are always recomputed from the operator after the fact, never
 trusted from iteration internals.
@@ -167,25 +164,16 @@ def solve_reflections(op: BlockOperator, rhs: CoefficientVector,
     return SolveResult(phi, "reflections", it, res, converged=res <= eta)
 
 
-def first_order_solution(op: BlockOperator, rhs: CoefficientVector) -> SolveResult:
-    """The zeroth reflection phi = g; residual is its defect ||A g||_2."""
-    phi = CoefficientVector(rhs.data.copy())
-    res = _residual_norm(op, rhs, phi)
-    return SolveResult(phi, "first-order", 0, res, converged=True)
-
-
 BACKENDS = {
     "dense": solve_dense,
     "gmres": solve_gmres,
     "reflections": solve_reflections,
-    "first-order": first_order_solution,
 }
 
 
 def solve(op: BlockOperator, rhs: CoefficientVector, backend: str = "dense",
           **kwargs) -> SolveResult:
-    """Dispatch to a backend by name ('dense', 'gmres', 'reflections',
-    'first-order')."""
+    """Dispatch to a backend by name ('dense', 'gmres', 'reflections')."""
     try:
         fn = BACKENDS[backend]
     except KeyError:

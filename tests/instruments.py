@@ -1,6 +1,6 @@
 """Instruments that only the tests use: bound-side series, single Bessel
 values, the far-field limit, the incident-trace quadrature, the pointwise
-total field and the reader of system dumps.
+total field, the reader of system dumps and a dense solve that fails.
 
 No production path (the CLI, `memscat selftest`, the benchmark) calls
 these; the acceptance criteria and unit tests measure the package against
@@ -18,10 +18,15 @@ them.  They are built on the package's public layers:
   reference for total_field_grid;
 * incident_trace_quadrature: the trapezoid reference for the rhs f of
   assemble_raw;
-* load_system_dump: reads back the file `solve --dump-matrix` writes.
+* load_system_dump: reads back the file `solve --dump-matrix` writes;
+* unconverged_dense: a dense solve that reports no convergence, for the
+  paths of `sweep` and `field` that no preset reaches.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 import scipy.special
@@ -32,6 +37,7 @@ from memscat.assembly import CoefficientVector
 from memscat.errors import InsufficientPointsError, NonConvergenceError
 from memscat.field import incident_field, scattered_field
 from memscat.scene import PlaneWave, Scene
+from memscat.solver import SolveResult, solve_dense
 from memscat.specfun import (bessel_j_grid_scaled, bessel_y_grid_scaled,
                              scaled_to_float)
 
@@ -261,3 +267,14 @@ def load_system_dump(path):
         entries = np.loadtxt(fh, dtype=np.float64).reshape(dim * dim, 2)
     mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
     return mat, M, N, k
+
+
+# ---------------------------------------------------------------------------
+# solver failures
+# ---------------------------------------------------------------------------
+
+def unconverged_dense(op, rhs) -> SolveResult:
+    """solve_dense's result with a non-finite residual, so converged=False:
+    what dense reports when LAPACK returns a non-finite solution."""
+    return dataclasses.replace(solve_dense(op, rhs), residual=math.nan,
+                               converged=False)

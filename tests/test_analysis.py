@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from instruments import (hyp2f1_peaked, onset_truncation, sigma_series_raw,
-                         theorem_slack)
+                         theorem_slack, unconverged_dense)
 from memscat import (
     NORM_L0,
     BlockOperator,
@@ -28,6 +28,7 @@ from memscat import (
     solve,
     validate_scene,
 )
+from memscat import analysis
 from memscat.analysis import (
     REFERENCE_MARGIN,
     breakdown_check,
@@ -243,14 +244,13 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError):
             convergence_sweep(far_scene, [-2, 1])
 
-    def test_non_converging_backend_raises(self):
-        # the reflections iteration diverges on the near-touching preset,
-        # here already at the reference truncation 10 + REFERENCE_MARGIN
+    def test_non_converging_backend_raises(self, far_scene, monkeypatch):
+        # the sweep raises at the first solve that reports no convergence,
+        # the reference at 10 + REFERENCE_MARGIN
+        monkeypatch.setattr(analysis, "solve_dense", unconverged_dense)
         with pytest.raises(NonConvergenceError,
-                           match="reflections solve at N = 15 did not "
-                                 "converge"):
-            convergence_sweep(preset_scene("touching"), range(1, 11),
-                              backend="reflections")
+                           match="dense solve at N = 15 did not converge"):
+            convergence_sweep(far_scene, range(1, 11))
 
     def test_onset_moves_up_with_wavenumber(self):
         low = convergence_sweep(preset_scene("moderate", wavenumber=0.6),

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import os
 import re
 import shlex
@@ -14,7 +15,9 @@ import pytest
 import memscat
 from memscat import (Cylinder, NonConvergenceError, PlaneWave, Scene,
                      dumps_scene, loads_scene)
-from memscat.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from instruments import unconverged_dense
+from memscat.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                         build_parser, main)
 
 
 def run(capsys, *argv):
@@ -130,18 +133,21 @@ class TestSolve:
         assert not (tmp_path / "touching_solution.csv").exists()
 
     @pytest.mark.parametrize("command, written", [
-        (["solve"], ["far_solution.csv"]),
+        (["solve", "--backend", "gmres"], ["far_solution.csv"]),
         (["field", "--xlim", "-4", "4", "--ylim", "-4", "4", "--nx", "3",
           "--ny", "3"], []),
     ])
     def test_non_converged_gmres_outcomes(self, capsys, tmp_path,
                                           monkeypatch, command, written):
-        # solve writes what GMRES returned and exits 2; field writes nothing
+        # solve writes what GMRES returned and exits 2; field, which solves
+        # densely, writes nothing when that solve does not converge
         gmres = memscat.solver.solve_gmres
         monkeypatch.setitem(memscat.solver.BACKENDS, "gmres",
                             lambda op, rhs: gmres(op, rhs, max_iterations=2))
-        code, _, _ = run(capsys, command[0], "far", "-N", "6", "--backend",
-                         "gmres", *command[1:], "-o", str(tmp_path))
+        monkeypatch.setitem(memscat.solver.BACKENDS, "dense",
+                            unconverged_dense)
+        code, _, _ = run(capsys, command[0], "far", "-N", "6", *command[1:],
+                         "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
         assert sorted(p.name for p in tmp_path.iterdir()) == written
 
@@ -429,15 +435,19 @@ class TestSweep:
                            "--n-max", "3", "-o", str(tmp_path))
         assert code == EXIT_VALIDATION
 
-    def test_non_converging_backend_exits_numerical(self, capsys, tmp_path):
-        # the reflections iteration diverges on the near-touching preset,
-        # so there is no reference to measure E against
-        code, _, err = run(capsys, "sweep", "touching", "--backend",
-                           "reflections", "--n-max", "10",
-                           "-o", str(tmp_path))
+    def test_numerical_failure_at_one_k_exits_numerical(self, capsys,
+                                                          tmp_path):
+        # at k = 100 a pair's k d_pq passes the argument cap, so that k
+        # writes nothing; the next k is still swept
+        code, out, err = run(capsys, "sweep", "far", "--n-max", "6",
+                             "--k", "100", "--k", "0.6", "--allow-high-k",
+                             "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
-        assert "reflections solve at N = 15 did not converge" in err
-        assert not list(tmp_path.iterdir())
+        assert ("numerical failure at k = 100: cylinders 2 and 3: "
+                "k d_pq = 1843.91 exceeds the argument cap 1000.0") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "far_sweep_k0.6.csv", "far_sweep_k0.6.gp"]
+        assert "far_sweep_k0.6.csv" in out
 
     def test_failed_wavenumber_does_not_stop_the_rest(self, capsys, tmp_path,
                                                       monkeypatch):
@@ -549,13 +559,18 @@ class TestField:
         assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "far_field.csv").exists()
 
-    def test_divergent_backend_writes_nothing(self, capsys, tmp_path):
+    def test_divergent_backend_writes_nothing(self, capsys, tmp_path,
+                                              monkeypatch):
+        # field always solves densely; here its solve is the reflections
+        # iteration, which diverges on touching, and it leaves no field
+        monkeypatch.setitem(memscat.solver.BACKENDS, "dense",
+                            memscat.solver.solve_reflections)
         code, _, err = run(capsys, "field", "touching", "-N", "10",
-                           "--backend", "reflections",
                            "--xlim", "-3", "3", "--ylim", "-3", "3",
                            "--nx", "4", "--ny", "4", "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
-        assert not (tmp_path / "touching_field.csv").exists()
+        assert "no field written" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSelftest:
@@ -572,6 +587,9 @@ class TestOptions:
         ["selftest", "-o", "d"],
         ["bounds", "far", "-k", "3"],
         ["sweep", "far", "--wavenumber", "3"],
+        ["sweep", "far", "--backend", "dense"],
+        ["field", "far", "-N", "4", "--xlim", "-4", "4", "--ylim", "-4", "4",
+         "--backend", "dense"],
     ])
     def test_removed_options_are_usage_errors(self, capsys, tmp_path,
                                               monkeypatch, argv):
@@ -583,6 +601,36 @@ class TestOptions:
         assert err.startswith("usage: memscat")
         assert "error: unrecognized arguments" in err
         assert not list(tmp_path.iterdir())
+
+    def test_removed_backend_is_a_usage_error(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "far", "-N", "4", "--backend", "first-order"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert ("error: argument --backend: invalid choice: 'first-order'"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    def test_readme_flag_table_matches_the_parser(self):
+        # README's "| `command` | `flag`, ... |" rows name each command's
+        # option strings: `-N/--truncation N` is -N and --truncation
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text[text.index("| command    | flags |"):]
+        table = table[:table.index("\n\n")]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            command, flags = (cell.strip() for cell in row.split("|")[1:3])
+            documented[command.strip("`")] = {
+                opt for flag in re.findall(r"`([^`]*)`", flags)
+                for opt in flag.split()[0].split("/")}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {opt for action in sub._actions
+                         for opt in action.option_strings} - {"-h", "--help"}
+                  for name, sub in subparsers.choices.items()}
+        assert documented == parsed
 
     def test_readme_quick_start_runs(self, capsys, tmp_path, monkeypatch):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,4 +1,4 @@
-"""Solver backends: dense reference, GMRES, reflections, first-order."""
+"""Solver backends: dense reference, GMRES, reflections."""
 
 import math
 import tracemalloc
@@ -19,7 +19,6 @@ from memscat.assembly import BlockOperator, CoefficientVector
 from memscat.solver import (
     BACKENDS,
     GMRES_DEFAULT_RESTART,
-    first_order_solution,
     solve_dense,
     solve_gmres,
     solve_reflections,
@@ -89,10 +88,12 @@ class TestSingleCylinder:
         assert result.residual == 0.0
 
     def test_first_order_is_exact(self, single_system):
+        # the zeroth iterate phi = g is exact for one cylinder
         op, rhs = single_system
-        result = first_order_solution(op, rhs)
+        result = solve_reflections(op, rhs, max_iterations=0)
         assert np.array_equal(result.solution.data, rhs.data)
         assert result.residual == 0.0
+        assert result.converged
 
 
 class TestDense:
@@ -222,8 +223,11 @@ class TestGmres:
 
 class TestReflections:
     def test_first_iterate_is_first_order(self, moderate_system):
+        # with no iterations the result is the zeroth iterate phi = g, whose
+        # residual is its defect ||A g||, and it claims no convergence
         op, rhs = moderate_system
-        fo = first_order_solution(op, rhs)
+        fo = solve_reflections(op, rhs, max_iterations=0)
+        assert not fo.converged
         assert np.array_equal(fo.solution.data, rhs.data)
         coupling = op.matrix - np.eye(op.matrix.shape[0])
         manual = np.linalg.norm(coupling @ rhs.flat())
@@ -266,7 +270,7 @@ class TestDispatch:
             solve(op, rhs, backend="cholesky")
 
     def test_backend_names(self):
-        assert ALL_BACKENDS == ["dense", "first-order", "gmres", "reflections"]
+        assert ALL_BACKENDS == ["dense", "gmres", "reflections"]
 
     def test_result_records_backend_name(self, single_system):
         op, rhs = single_system
