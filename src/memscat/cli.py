@@ -102,19 +102,6 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.outdir, name)
 
 
-def _warn_high_k(args, k: float) -> bool:
-    if k < presets.HIGH_WAVENUMBER:
-        return True
-    if not args.allow_high_k:
-        print(f"error: k = {k:g} sweeps sit at the round-off floor of the "
-              "reference solve and are disabled by default; rerun with "
-              "--allow-high-k to proceed", file=sys.stderr)
-        return False
-    print(f"warning: k = {k:g} truncation errors reach the round-off floor "
-          "almost immediately; fitted rates are unreliable", file=sys.stderr)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -182,7 +169,7 @@ def _cmd_sweep(args) -> int:
         violations = scene_mod.wavenumber_violations(k)
         for v in violations:
             print(f"error: k = {k:g}: {v}", file=sys.stderr)
-        if violations or not _warn_high_k(args, k):
+        if violations:
             status = max(status, EXIT_VALIDATION)
             continue
         sck = dataclasses.replace(sc, wavenumber=float(k))
@@ -200,13 +187,19 @@ def _cmd_sweep(args) -> int:
                           rep.columns())
         print(f"wrote {csv_path}")
         for curve, fit in rep.rates.items():
-            if fit is not None:
+            if fit is None:
+                print(f"  rate[{curve}]: no fit (too few values between "
+                      f"{analysis.FIT_FLOOR:g} and {analysis.FIT_CEILING:g})")
+            else:
                 print(f"  rate[{curve}]: slope {fit.slope:+.4f} "
                       f"(R^2 {fit.r_squared:.4f}, N {fit.n_lo}..{fit.n_hi})")
-        bd = analysis.breakdown_check(sck)
-        if not bd.first_order_valid:
-            print(f"  note: surface gap {bd.gap:g} <= {bd.threshold:g}; "
-                  "first-order (single-scattering) rates are suspect here")
+        # the note speaks of the first-order surrogate's curve
+        if args.first_order:
+            bd = analysis.breakdown_check(sck)
+            if not bd.first_order_valid:
+                print(f"  note: surface gap {bd.gap:g} <= {bd.threshold:g}; "
+                      "first-order (single-scattering) rates are suspect "
+                      "here")
     return status
 
 
@@ -361,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "assembles once and slices, in one thread")
     p.add_argument("--first-order", action="store_true",
                    help="add the first-order truncation surrogate column")
-    p.add_argument("--allow-high-k", action="store_true",
-                   help="run sweeps at k >= 15 despite the round-off floor")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="envelope tables without solving")

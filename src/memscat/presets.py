@@ -22,8 +22,6 @@ from .scene import Cylinder, Incident, PointSource, Scene
 
 PRESET_RADII = (2.0, 1.0, 0.5)
 DEFAULT_SOURCE = (-20.0, -25.0)
-# reference sweeps at or above this wavenumber sit near round-off
-HIGH_WAVENUMBER = 15.0
 
 _CENTERS = {
     "far": ((0.0, 0.0), (12.0, 0.0), (0.0, 14.0)),

@@ -5,8 +5,8 @@ either a plane wave exp(i k beta.x) with propagation angle beta_hat or a point
 source (i/4) H_0^(1)(k |x - x0|).  Scenes are immutable.  Geometry derived
 from them (center distances, pair angles, source distances) is not stored:
 each consumer calls `pairwise_geometry` again, so a sweep computes it once for
-its geometry check and then four times per wavenumber: in `assemble_system`,
-`gamma1`, `gamma2` and `breakdown_check`.
+its geometry check and then three times per wavenumber, in `assemble_system`,
+`gamma1` and `gamma2`, plus once in `breakdown_check` with `--first-order`.
 
 Scene files are YAML:
 

@@ -234,7 +234,7 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "far", "--n-min", "1",
                            "--n-max", "12", "-o", str(tmp_path))
         assert code == EXIT_OK
-        assert "rate[E]" in out
+        assert "rate[E]: slope" in out
         csv = tmp_path / "far_sweep_k0.6.csv"
         data = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert data.shape == (12, 4)
@@ -365,6 +365,14 @@ class TestSweep:
         header = (tmp_path / "close_sweep_k0.6.csv").read_text().splitlines()[0]
         assert header == "N,E,gamma1,gamma2,E1_surrogate"
 
+    def test_breakdown_note_needs_first_order(self, capsys, tmp_path):
+        # without the surrogate column the note has no curve to speak of
+        code, out, _ = run(capsys, "sweep", "close", "--n-max", "10",
+                           "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert "close_sweep_k0.6.csv" in out
+        assert "note:" not in out
+
     def test_thread_count_is_byte_identical(self, capsys, tmp_path):
         for threads, name in ((1, "a"), (4, "b")):
             out = tmp_path / name
@@ -376,20 +384,24 @@ class TestSweep:
         b = (tmp_path / "b" / "moderate_sweep_k0.6.csv").read_bytes()
         assert a == b
 
-    def test_high_wavenumber_is_gated(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "far", "--n-min", "1",
-                           "--n-max", "6", "--k", "15", "-o", str(tmp_path))
-        assert code == EXIT_VALIDATION
-        assert "--allow-high-k" in err
-        assert not (tmp_path / "far_sweep_k15.csv").exists()
+    def test_high_wavenumber_sweeps_like_any_other(self, capsys, tmp_path):
+        # E decays once N passes k a_max = 30 and stays far above round-off
+        # through the fit window
+        code, out, err = run(capsys, "sweep", "far", "--k", "15",
+                             "--n-max", "60", "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert err == ""
+        assert (tmp_path / "far_sweep_k15.csv").exists()
+        assert "rate[E]: slope -1.1796 (R^2 0.9990, N 47..59)" in out
 
-    def test_high_wavenumber_flag_warns_but_runs(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "far", "--n-min", "1",
-                           "--n-max", "6", "--k", "15", "--allow-high-k",
+    def test_unreadable_rate_says_no_fit(self, capsys, tmp_path):
+        # at k = 10, E(25) is still 4.6e-3: too few values in the window
+        code, out, _ = run(capsys, "sweep", "far", "--k", "10",
                            "-o", str(tmp_path))
         assert code == EXIT_OK
-        assert "warning" in err
-        assert (tmp_path / "far_sweep_k15.csv").exists()
+        assert "  rate[E]: no fit (too few values between 1e-13 and 0.01)" \
+            in out
+        assert "rate[E]: slope" not in out
 
     def test_invalid_wavenumbers_are_refused_one_by_one(self, capsys,
                                                         tmp_path):
@@ -440,7 +452,7 @@ class TestSweep:
         # at k = 100 a pair's k d_pq passes the argument cap, so that k
         # writes nothing; the next k is still swept
         code, out, err = run(capsys, "sweep", "far", "--n-max", "6",
-                             "--k", "100", "--k", "0.6", "--allow-high-k",
+                             "--k", "100", "--k", "0.6",
                              "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
         assert ("numerical failure at k = 100: cylinders 2 and 3: "
@@ -459,13 +471,13 @@ class TestSweep:
             return sweep(scene, *args, **kwargs)
         monkeypatch.setattr(memscat.analysis, "convergence_sweep",
                             fail_at_low_k)
-        # the numerical failure sets the exit code over the refused k = 15
+        # the numerical failure sets the exit code over the refused k = -1
         code, out, err = run(capsys, "sweep", "far", "--n-max", "6",
-                             "--k", "0.6", "--k", "15", "--k", "3",
+                             "--k", "0.6", "--k", "-1", "--k", "3",
                              "-o", str(tmp_path))
         assert code == EXIT_NUMERICAL
         assert "numerical failure at k = 0.6: no reference at this k" in err
-        assert "--allow-high-k" in err
+        assert "error: k = -1: wavenumber must be > 0" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "far_sweep_k3.csv", "far_sweep_k3.gp"]
         assert "far_sweep_k3.csv" in out
@@ -590,6 +602,7 @@ class TestOptions:
         ["sweep", "far", "--backend", "dense"],
         ["field", "far", "-N", "4", "--xlim", "-4", "4", "--ylim", "-4", "4",
          "--backend", "dense"],
+        ["sweep", "far", "--allow-high-k"],
     ])
     def test_removed_options_are_usage_errors(self, capsys, tmp_path,
                                               monkeypatch, argv):
