@@ -384,6 +384,15 @@ class TestSweep:
         b = (tmp_path / "b" / "moderate_sweep_k0.6.csv").read_bytes()
         assert a == b
 
+    def test_high_wavenumber_is_not_gated(self, capsys, tmp_path):
+        # a k >= 15 is written like any other valid k, with nothing on stderr
+        code, _, err = run(capsys, "sweep", "far", "--n-min", "1",
+                           "--n-max", "6", "--k", "15", "-o", str(tmp_path))
+        assert code == EXIT_OK
+        assert err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "far_sweep_k15.csv", "far_sweep_k15.gp"]
+
     def test_high_wavenumber_sweeps_like_any_other(self, capsys, tmp_path):
         # E decays once N passes k a_max = 30 and stays far above round-off
         # through the fit window
